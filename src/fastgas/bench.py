@@ -87,11 +87,6 @@ def run_bench(
     }
 
 
-def bench_csv(report: dict) -> list[dict]:
-    """Flatten a bench report into CSV-ready rows."""
-    return report["rows"]
-
-
 def _random_graph(n: int, p: float, rng: np.random.Generator):
     edges = [
         (u, v, 1)

@@ -13,6 +13,8 @@ import json
 import os
 import sys
 import time
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -142,8 +144,38 @@ def _resolve(args: argparse.Namespace, key: str, cast=None):
     return cast(val) if cast is not None and val is not None else val
 
 
+def _encode(obj, level: int) -> str:
+    """`json.dumps(obj, indent=2)` nested `level` deep, byte for byte.
+
+    The stdlib skips its C encoder whenever `indent` is set, so lists of
+    ints, of strings and of equal-length int rows (graph edges, selections,
+    plans) are formatted here with `join` and one templated `%` instead.
+    """
+    ind = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level + "]"
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        items = [encode_basestring_ascii(key) + ": " + _encode(v, level + 1)
+                 for key, v in obj.items()]
+        return "{" + ind + ("," + ind).join(items) + "\n" + "  " * level + "}"
+    if type(obj) is list and obj:
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            return "[" + ind + ("," + ind).join(map(int.__repr__, obj)) + close
+        if kinds == {str}:
+            return "[" + ind + ("," + ind).join(map(encode_basestring_ascii, obj)) + close
+        if kinds == {list}:
+            widths = set(map(len, obj))
+            flat = tuple(chain.from_iterable(obj))
+            if len(widths) == 1 and flat and set(map(type, flat)) == {int}:
+                inner = ind + "  "
+                row = "[" + inner + ("," + inner).join(["%d"] * widths.pop()) + ind + "]"
+                return "[" + ind + ("," + ind).join([row] * len(obj)) % flat + close
+        return "[" + ind + ("," + ind).join([_encode(v, level + 1) for v in obj]) + close
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
+
+
 def _write_json(path: str | None, obj: dict) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    text = _encode(obj, 0) + "\n"
     if path:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
     else:
@@ -233,7 +265,7 @@ def _cmd_bench(args) -> int:
     )
     _write_json(args.output, report)
     if args.output:
-        rows = bench_mod.bench_csv(report)
+        rows = report["rows"]
         csv_path = str(Path(args.output).with_suffix(".csv"))
         with open(csv_path, "w", encoding="utf-8", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=list(rows[0]))
@@ -271,6 +303,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        threads = _resolve(args, "threads", int)
+        if threads < 1:
+            raise InvalidParameter(f"--threads must be at least 1, got {threads}")
         return _COMMANDS[args.command](args)
     except FileNotFoundError as e:
         print(f"error: file not found: {e.filename or e}", file=sys.stderr)

@@ -24,6 +24,10 @@ from .errors import (
 # Fixed query block size for kNN search. Independent of the worker count so
 # the adjacency is byte-identical at any --threads setting.
 _KNN_BLOCK = 256
+# Strided column groups of the float32 kNN screen; one max per group and row.
+_KNN_GROUPS = 512
+# Float64 elements per operand in one chunk of the kNN re-rank.
+_RERANK_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,9 @@ def graph_from_edges(
 
     Each undirected edge appears once in `edges`; both directions are stored.
     """
-    edges = np.asarray(list(edges), dtype=np.int64).reshape(-1, 3)
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
     if vertex_weights is None:
         vertex_weights = np.ones(n, dtype=np.int64)
     else:
@@ -120,26 +126,71 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
     """kNN graph under cosine similarity, symmetrized by union.
 
     An edge (u, v) exists if v is among u's k most similar other vertices or
-    vice versa. Similarity ties break toward the lower candidate index.
+    vice versa. Similarity is the float64 dot product of the rows normalized
+    in float64, and ties go to the lower index.
+
+    The search is exact. Each block of `_KNN_BLOCK` query rows is screened
+    with a float32 GEMM. For unit rows a float32 similarity is within about
+    (d+2)·2⁻²⁴ of the float64 one (the dot-product bound γ_d of Higham,
+    Accuracy and Stability of Numerical Algorithms, §3.1). The k-th largest
+    of the `_KNN_GROUPS` strided group maxima is therefore at most that far
+    above the float64 k-th similarity. Every column whose float32 similarity
+    is at least that group max minus twice the bound (`eps`) is kept, a set
+    that holds the float64 top-k and every tie at its k-th value. Only those
+    candidates are re-ranked in float64. The block size and the grouping are
+    fixed, so `threads` never changes the result.
     """
-    n = emb.n
+    n, d = emb.n, emb.dim
     if k < 1 or k >= n:
         raise InvalidK(f"k must satisfy 1 <= k <= N-1, got k={k}, N={n}")
-    x = emb.vectors.astype(np.float64)
-    x /= np.linalg.norm(x, axis=1)[:, None]
+    vecs = emb.vectors
+    norms = np.empty(n)
+    unit32 = np.empty((n, d), dtype=np.float32)
+
+    def unit64(rows) -> np.ndarray:
+        return np.divide(vecs[rows], norms[rows, None])
+
+    for start in range(0, n, _KNN_BLOCK):
+        rows = slice(start, start + _KNN_BLOCK)
+        norms[rows] = np.linalg.norm(vecs[rows].astype(np.float64), axis=1)
+        unit32[rows] = unit64(rows)
+
+    # eps is twice (d+4)·u/(1-d·u), which bounds |float32 - float64 similarity|
+    # of unit rows while d·u < 1/2: γ_d for the float32 dot product, 2·u for
+    # rounding the rows to float32, and slack for the second-order terms.
+    u = 2.0**-24
+    eps = 2 * (d + 4) * u / (1 - d * u)
+    # g strided column groups: group j holds the columns j, j+g, j+2g, ...
+    # At least k of them must have a finite max (one may hold only -inf).
+    g = min(n, max(_KNN_GROUPS, k + 1))
+    width = -(-n // g) * g
+    chunk = max(1, _RERANK_CHUNK // d)
 
     def block_topk(start: int) -> np.ndarray:
         stop = min(start + _KNN_BLOCK, n)
-        sims = x[start:stop] @ x.T
-        out = np.empty((stop - start, k), dtype=np.int64)
-        for i in range(stop - start):
-            s = sims[i]
-            s[start + i] = -np.inf
-            kth = np.partition(s, n - 1 - k)[n - 1 - k]
-            cand = np.nonzero(s >= kth)[0]
-            cand = cand[np.lexsort((cand, -s[cand]))]
-            out[i] = cand[:k]
-        return out
+        b = stop - start
+        # float32 screen; the padding columns past n and the diagonal are -inf
+        s = np.empty((b, width), dtype=np.float32)
+        np.matmul(unit32[start:stop], unit32.T, out=s[:, :n])
+        s[:, n:] = -np.inf
+        s[np.arange(b), np.arange(start, stop)] = -np.inf
+        groups = s.reshape(b, -1, g)
+        gmax = groups.max(axis=1)
+        lo = np.partition(gmax, g - k, axis=1)[:, g - k].astype(np.float64) - eps
+        hit_rows, hit_groups = np.nonzero(gmax >= lo[:, None])
+        pair, step = np.nonzero(groups[hit_rows, :, hit_groups] >= lo[hit_rows, None])
+        rows, cols = hit_rows[pair], hit_groups[pair] + g * step
+
+        # float64 re-rank of the candidates, ordered by (row, -sim, col)
+        q = unit64(slice(start, stop))
+        sim = np.empty(len(rows))
+        for i in range(0, len(rows), chunk):
+            j = slice(i, i + chunk)
+            sim[j] = np.einsum("ij,ij->i", q[rows[j]], unit64(cols[j]))
+        cols = cols[np.lexsort((cols, -sim, rows))]
+        counts = np.bincount(rows, minlength=b)
+        first = np.cumsum(counts) - counts
+        return cols[first[:, None] + np.arange(k)]
 
     starts = range(0, n, _KNN_BLOCK)
     if threads > 1:
@@ -151,10 +202,8 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
 
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     dst = nbrs.reshape(-1)
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    pairs = np.unique(np.column_stack([lo, hi]), axis=0)
-    edges = np.column_stack([pairs, np.ones(len(pairs), dtype=np.int64)])
+    key = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
+    edges = np.column_stack([key // n, key % n, np.ones(len(key), dtype=np.int64)])
     return graph_from_edges(n, edges, level=0, k=k)
 
 

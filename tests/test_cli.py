@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fastgas.cli import main
+from fastgas.cli import _write_json, main
 from fastgas.embeddings import generate_synthetic, save_embeddings
 
 
@@ -134,3 +138,62 @@ def test_bench_subcommand(tmp_path):
     assert [r["n"] for r in rep["rows"]] == [200, 400]
     assert len(rep["per_doubling_ratios"]) == 1
     assert (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-graph", "--input", "pool.jsonl"],
+    ["partition", "--input", "g.json"],
+    ["select", "--input", "g.json"],
+    ["retrieve", "--input", "pool.jsonl", "--selection", "s.json", "--tests", "t.jsonl"],
+    ["bench"],
+    ["verify"],
+])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exits_2(argv, threads, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--threads", threads, "-o", str(out)]) == 2
+    assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_threads_below_one_from_config_exits_2(workspace, capsys):
+    tmp, pool, _ = workspace
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 0}))
+    assert main(["build-graph", "--input", str(pool), "--config", str(cfg),
+                 "-o", str(tmp / "g.json")]) == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats() | st.sampled_from([1e300, 0.1, -0.0, 1e-320])
+)
+_int_rows = st.integers(0, 4).flatmap(
+    lambda w: st.lists(st.lists(st.integers(), min_size=w, max_size=w), max_size=6))
+_json_values = st.recursive(
+    _json_scalars | _int_rows | st.lists(st.integers()) | st.lists(st.text()),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text() | st.integers(), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_write_json_matches_json_dumps(obj):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _write_json(None, obj)
+    assert buf.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("timings", [[], ["--no-timings"]])
+def test_build_graph_output_is_indented_json(workspace, timings):
+    tmp, pool, _ = workspace
+    out = tmp / "g.json"
+    assert main(["build-graph", "--input", str(pool), "--k", "5", *timings, "-o", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert ("timings_ms" in doc) == (not timings)
+    assert text == json.dumps(doc, indent=2) + "\n"

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle_graph, path_graph, random_graph, star_graph
 from fastgas.embeddings import EmbeddingMatrix, cosine_similarity, generate_synthetic
 from fastgas.errors import EmptyVertexSet, IndexOutOfRange, InvalidK, PartitionMismatch
 from fastgas.graph import (
+    _KNN_GROUPS,
     build_knn_graph,
     edge_cut,
     graph_from_dict,
@@ -30,6 +33,135 @@ def brute_force_knn_edges(emb, k):
         for _, v in sims[:k]:
             edges.add((min(u, v), max(u, v)))
     return edges
+
+
+def per_row_knn_oracle(emb, k):
+    """Exhaustive float64 top-k, one full similarity row at a time.
+
+    The selection is the per-row loop `build_knn_graph` used before its
+    float32 screen. The rows come from einsum rather than a BLAS GEMM: a GEMM
+    may round the same pair differently depending on where it sits in the
+    output, which splits exact ties between duplicate rows.
+    """
+    n = emb.n
+    x = emb.vectors.astype(np.float64)
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    nbrs = np.empty((n, k), dtype=np.int64)
+    for u in range(n):
+        s = np.einsum("ij,ij->i", np.broadcast_to(x[u], x.shape), x)
+        s[u] = -np.inf
+        kth = np.partition(s, n - 1 - k)[n - 1 - k]
+        cand = np.nonzero(s >= kth)[0]
+        cand = cand[np.lexsort((cand, -s[cand]))]
+        nbrs[u] = cand[:k]
+    src = np.repeat(np.arange(n), k).tolist()
+    return {(min(u, v), max(u, v)) for u, v in zip(src, nbrs.reshape(-1).tolist())}
+
+
+def knn_edges(emb, k, threads=1):
+    return {tuple(e[:2]) for e in build_knn_graph(emb, k, threads=threads).edge_list().tolist()}
+
+
+def as_emb(x):
+    return EmbeddingMatrix(ids=[str(i) for i in range(len(x))], vectors=x)
+
+
+@st.composite
+def knn_inputs(draw):
+    """Random float32 pools with duplicated rows, rows one float32 ulp apart,
+    and one-hot rows whose similarities all tie."""
+    n = draw(st.integers(2, 70))
+    d = draw(st.sampled_from([1, 2, 3, 8, 768, 1536]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, d)).astype(np.float32)
+    for _ in range(draw(st.integers(0, n))):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["copy", "ulp", "onehot"]))
+        if kind == "onehot":
+            x[dst] = 0.0
+            x[dst, src % d] = 1.0
+        else:
+            x[dst] = x[src]
+            if kind == "ulp":
+                c = src % d
+                x[dst, c] = np.nextafter(x[dst, c], np.float32(np.inf))
+    return as_emb(x), draw(st.integers(1, n - 1))
+
+
+class TestKnnExactness:
+    @settings(max_examples=60, deadline=None)
+    @given(knn_inputs())
+    def test_matches_per_row_oracle(self, case):
+        emb, k = case
+        assert knn_edges(emb, k) == per_row_knn_oracle(emb, k)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 14), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_matches_brute_force_on_tiny_inputs(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)).astype(np.float32)
+        x[n // 2] = x[0]
+        emb = as_emb(x)
+        for k in (1, n // 2, n - 1):
+            assert knn_edges(emb, k) == brute_force_knn_edges(emb, k)
+
+    def test_duplicates_tie_to_the_lower_index(self):
+        x = np.random.default_rng(3).normal(size=(60, 8)).astype(np.float32)
+        x[[26, 31, 59]] = x[26]
+        x[35] = x[26] + np.float32(0.01)
+        emb = as_emb(x)
+        edges = knn_edges(emb, 2)
+        # vertex 35's two nearest are three copies of one vector: 26 and 31
+        # win the tie, and 59 (whose own nearest are 26 and 31) is no neighbour
+        assert {(26, 35), (31, 35)} <= edges and (35, 59) not in edges
+        assert edges == per_row_knn_oracle(emb, 2)
+
+    def test_rows_one_ulp_apart(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(600, 16)).astype(np.float32)
+        for i in range(0, 600, 3):
+            x[i + 1] = x[i]
+            x[i + 1, i % 16] = np.nextafter(x[i, i % 16], np.float32(np.inf))
+            x[i + 2] = x[i]
+            x[i + 2, i % 16] = np.nextafter(x[i, i % 16], np.float32(-np.inf))
+        emb = as_emb(x)
+        for k in (1, 2, 7):
+            assert knn_edges(emb, k) == per_row_knn_oracle(emb, k)
+
+    @pytest.mark.parametrize("n, d", [(40, 40), (300, 300), (_KNN_GROUPS + 77, 64)])
+    def test_one_hot_rows_all_tie(self, n, d):
+        # row i is the unit vector on axis i mod d: similarities are 1 on the
+        # same axis and 0 elsewhere, and each tie goes to the lower index
+        emb = as_emb(np.eye(d, dtype=np.float32)[np.arange(n) % d])
+        k = 5
+        expected = set()
+        for u in range(n):
+            ranked = sorted((v for v in range(n) if v != u), key=lambda v: (v % d != u % d, v))
+            expected |= {(min(u, v), max(u, v)) for v in ranked[:k]}
+        assert knn_edges(emb, k) == expected
+
+    @pytest.mark.parametrize("n, d", [(300, 2), (_KNN_GROUPS, 1), (2 * _KNN_GROUPS + 77, 64),
+                                      (600, 768), (130, 1536)])
+    def test_group_shapes_and_dimensions(self, n, d):
+        x = np.random.default_rng(n + d).normal(size=(n, d)).astype(np.float32)
+        x[1::7] = x[::7][: len(x[1::7])]
+        emb = as_emb(x)
+        for k in (1, 10):
+            assert knn_edges(emb, k) == per_row_knn_oracle(emb, k)
+
+    @pytest.mark.parametrize("n", [7, 600])
+    def test_k_equals_n_minus_1_is_complete(self, n):
+        emb = generate_synthetic(n, 4, 2, 0.5, seed=n)
+        assert build_knn_graph(emb, n - 1).num_edges == n * (n - 1) // 2
+
+    def test_threads_do_not_change_the_graph(self):
+        x = np.random.default_rng(6).normal(size=(1100, 24)).astype(np.float32)
+        x[500:520] = x[0]
+        emb = as_emb(x)
+        one = graph_to_dict(build_knn_graph(emb, 10, threads=1))
+        four = graph_to_dict(build_knn_graph(emb, 10, threads=4))
+        assert one == four
+        assert {tuple(e[:2]) for e in one["edges"]} == per_row_knn_oracle(emb, 10)
 
 
 class TestBuildKnn:
