@@ -16,7 +16,6 @@ from .graph import (
     graph_from_edges,
     induced_subgraph,
     load_graph,
-    save_graph,
 )
 from .partition import (
     Bisection,

@@ -87,13 +87,9 @@ def run_bench(
     }
 
 
-def _random_graph(n: int, p: float, rng: np.random.Generator):
-    edges = [
-        (u, v, 1)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
+def random_graph(n: int, p: float, rng: np.random.Generator):
+    """G(n, p) with unit weights; one `rng.random()` per pair u < v, in row order."""
+    edges = [(u, v, 1) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return graph_from_edges(n, edges)
 
 
@@ -122,7 +118,7 @@ def run_verify(
     """
     if max_n > 24:
         raise InvalidParameter(f"max_n {max_n} exceeds the brute-force limit 24")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     exact = 0
     min_ratio = 1.0
     argmax_violations = 0
@@ -133,7 +129,7 @@ def run_verify(
         n = int(rng.integers(3, max_n + 1))
         p = edge_probs[int(rng.integers(len(edge_probs)))]
         budget = int(rng.integers(1, min(max_budget, n) + 1))
-        cases.append((f"random-{i}", _random_graph(n, p, rng), budget))
+        cases.append((f"random-{i}", random_graph(n, p, rng), budget))
 
     for name, g, budget in cases:
         picks, recorded = greedy_select_trace(g, budget)

@@ -1,7 +1,10 @@
 """Command-line pipeline: build-graph, partition, select, retrieve, bench, verify.
 
-Config precedence: CLI flags > JSON config file (--config) > preset > defaults.
-`FASTGAS_SEED` is the seed fallback when no flag or config value is given.
+Each subcommand's parser is its settings schema; `main` settles every setting
+once, before dispatch. Precedence: CLI flags > JSON config file (--config) >
+preset > `FASTGAS_SEED` (seed only) > the flag's default. A config key is the
+`dest` of one of the subcommand's optional flags (the flag name with `-`
+replaced by `_`), and its value must fit that flag's type and choices.
 Exit codes: 1 = input error, 2 = parameter error, 3 = internal invariant violation.
 """
 
@@ -19,11 +22,14 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .embeddings import load_embeddings
-from .errors import FastgasError, InvalidParameter
-from .graph import build_knn_graph, graph_to_dict, load_graph, save_graph
-from .partition import partition_kway, partition_to_dict
+from .errors import FastgasError, FormatError, InvalidParameter
+from .graph import build_knn_graph, graph_to_dict, load_graph
+from .partition import DEFAULT_EPSILON, partition_kway, partition_to_dict
 from .retrieval import retrieve_random, retrieve_similar
 from .selection import (
+    PAGERANK_DAMPING,
+    PAGERANK_MAX_ITERS,
+    PAGERANK_TOL,
     fastgas_select,
     pagerank_select,
     random_select,
@@ -36,112 +42,127 @@ PRESETS = {
     "paper-100": {"k": 10, "budget": 100, "K": 10},
 }
 
-DEFAULTS = {
-    "format": "jsonl",
-    "k": 10,
-    "K": 2,
-    "budget": 18,
-    "epsilon": 0.03,
-    "method": "fastgas",
-    "order": "asc",
-    "mode": "similar",
-    "m": 5,
-    "threads": 1,
-    "damping": 0.85,
-    "tol": 1e-10,
-    "max_iters": 200,
-    "repeats": 1,
-    "d": 64,
-    "sizes": "1000,2000,4000,8000",
-    "max_n": 12,
-    "max_budget": 4,
-    "instances": 500,
-}
+
+def _int_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",") if s.strip()]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     p = argparse.ArgumentParser(prog="fastgas", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(run=run)
         sp.add_argument("--config", help="JSON config file; flags override its values")
         sp.add_argument("--preset", choices=sorted(PRESETS))
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--threads", type=int)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--output", "-o")
         sp.add_argument("--no-timings", action="store_true",
                         help="omit wall-clock timings from output files")
+        return sp
 
-    sp = sub.add_parser("build-graph", help="build the kNN similarity graph from embeddings")
-    common(sp)
+    sp = command("build-graph", _cmd_build_graph, "build the kNN similarity graph from embeddings")
     sp.add_argument("--input", required=True, help="embeddings file")
-    sp.add_argument("--format", choices=["jsonl", "binary"])
-    sp.add_argument("--k", type=int, help="neighbors per vertex")
+    sp.add_argument("--format", choices=["jsonl", "binary"], default="jsonl")
+    sp.add_argument("--k", type=int, default=10, help="neighbors per vertex")
 
-    sp = sub.add_parser("partition", help="balanced K-way partition of a graph file")
-    common(sp)
+    sp = command("partition", _cmd_partition, "balanced K-way partition of a graph file")
     sp.add_argument("--input", required=True, help="graph JSON from build-graph")
-    sp.add_argument("--K", type=int)
-    sp.add_argument("--epsilon", type=float)
+    sp.add_argument("--K", type=int, default=2)
+    sp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
 
-    sp = sub.add_parser("select", help="run a selection strategy under a budget")
-    common(sp)
+    sp = command("select", _cmd_select, "run a selection strategy under a budget")
     sp.add_argument("--input", required=True,
                     help="graph JSON (fastgas/random/top-degree/pagerank) or embeddings (subcluster)")
-    sp.add_argument("--format", choices=["jsonl", "binary"], help="embeddings format for subcluster")
-    sp.add_argument("--method", choices=["fastgas", "random", "top-degree", "pagerank", "subcluster"])
-    sp.add_argument("--budget", type=int)
-    sp.add_argument("--K", type=int)
-    sp.add_argument("--epsilon", type=float)
+    sp.add_argument("--format", choices=["jsonl", "binary"], default="jsonl",
+                    help="embeddings format for subcluster and --embeddings")
+    sp.add_argument("--method", choices=["fastgas", "random", "top-degree", "pagerank", "subcluster"],
+                    default="fastgas")
+    sp.add_argument("--budget", type=int, default=18)
+    sp.add_argument("--K", type=int, default=2)
     sp.add_argument("--embeddings", help="optional embeddings file to attach instance ids")
-    sp.add_argument("--damping", type=float)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--max-iters", type=int, dest="max_iters")
+    sp.add_argument("--damping", type=float, default=PAGERANK_DAMPING)
+    sp.add_argument("--tol", type=float, default=PAGERANK_TOL)
+    sp.add_argument("--max-iters", type=int, default=PAGERANK_MAX_ITERS)
 
-    sp = sub.add_parser("retrieve", help="build per-test prompt example orderings")
-    common(sp)
+    sp = command("retrieve", _cmd_retrieve, "build per-test prompt example orderings")
     sp.add_argument("--input", required=True, help="pool embeddings file")
-    sp.add_argument("--format", choices=["jsonl", "binary"])
+    sp.add_argument("--format", choices=["jsonl", "binary"], default="jsonl")
     sp.add_argument("--selection", required=True, help="selection JSON from `select`")
     sp.add_argument("--tests", required=True, help="test embeddings file")
-    sp.add_argument("--tests-format", choices=["jsonl", "binary"], dest="tests_format")
-    sp.add_argument("--mode", choices=["similar", "random"])
-    sp.add_argument("--m", type=int, help="examples per prompt")
-    sp.add_argument("--order", choices=["asc", "desc"])
+    sp.add_argument("--tests-format", choices=["jsonl", "binary"], help="default: --format")
+    sp.add_argument("--mode", choices=["similar", "random"], default="similar")
+    sp.add_argument("--m", type=int, default=5, help="examples per prompt")
+    sp.add_argument("--order", choices=["asc", "desc"], default="asc")
 
-    sp = sub.add_parser("bench", help="time the pipeline and baselines on synthetic pools")
-    common(sp)
-    sp.add_argument("--sizes", help="comma-separated pool sizes")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--K", type=int)
-    sp.add_argument("--budget", type=int)
-    sp.add_argument("--repeats", type=int)
+    sp = command("bench", _cmd_bench, "time the pipeline and baselines on synthetic pools")
+    sp.add_argument("--sizes", type=_int_list, default="1000,2000,4000,8000",
+                    help="comma-separated pool sizes")
+    sp.add_argument("--d", type=int, default=64)
+    sp.add_argument("--k", type=int, default=10)
+    sp.add_argument("--K", type=int, default=2)
+    sp.add_argument("--budget", type=int, default=18)
+    sp.add_argument("--repeats", type=int, default=1)
 
-    sp = sub.add_parser("verify", help="audit greedy selection against the exhaustive oracle")
-    common(sp)
-    sp.add_argument("--max-n", type=int, dest="max_n")
-    sp.add_argument("--max-budget", type=int, dest="max_budget")
-    sp.add_argument("--instances", type=int)
+    sp = command("verify", _cmd_verify, "audit greedy selection against the exhaustive oracle")
+    sp.add_argument("--max-n", type=int, default=12)
+    sp.add_argument("--max-budget", type=int, default=4)
+    sp.add_argument("--instances", type=int, default=500)
 
-    return p
+    return p, sub.choices
 
 
-def _resolve(args: argparse.Namespace, key: str, cast=None):
-    """CLI flag > config file > preset > env (seed only) > default."""
-    val = getattr(args, key, None)
-    if val is None and getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as f:
-            val = json.load(f).get(key)
-    if val is None and getattr(args, "preset", None):
-        val = PRESETS[args.preset].get(key)
-    if val is None and key == "seed":
-        env = os.environ.get("FASTGAS_SEED")
-        if env is not None:
-            val = int(env)
-    if val is None:
-        val = DEFAULTS.get(key, 0 if key == "seed" else None)
-    return cast(val) if cast is not None and val is not None else val
+def _config_value(path: str, key: str, action: argparse.Action, value):
+    """`value` converted as its flag converts it; an error names the file and key."""
+    if isinstance(action.default, bool):
+        kinds, want = (bool,), "true or false"
+    elif action.type in (int, float):
+        kinds, want = (int, action.type), "an integer" if action.type is int else "a number"
+    elif action.choices:
+        kinds, want = (str,), "one of " + ", ".join(action.choices)
+    else:
+        kinds, want = (str,), action.help if action.type else "a string"
+    try:
+        if type(value) in kinds:
+            value = action.type(value) if action.type else value
+            if action.choices is None or value in action.choices:
+                return value
+    except (ValueError, OverflowError):
+        pass
+    raise InvalidParameter(f"config {path}: key {key!r} must be {want}, got {value!r}")
+
+
+def _layer_defaults(sp: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Replace the defaults of `sp` with `FASTGAS_SEED`, then the preset, then
+    the config file, so that parsing the command line again gives each layer
+    its precedence. Config keys and values are checked against `sp`'s flags."""
+    flags = {a.dest: a for a in sp._actions if a.option_strings and not a.required
+             and a.dest not in ("help", "config", "preset")}
+    layers = {}
+    env = os.environ.get("FASTGAS_SEED")
+    if env is not None:
+        try:
+            layers["seed"] = int(env)
+        except ValueError:
+            raise InvalidParameter(f"FASTGAS_SEED must be an integer, got {env!r}") from None
+    if args.preset:
+        layers.update((k, v) for k, v in PRESETS[args.preset].items() if k in flags)
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as f:
+                config = json.load(f)
+        except (OSError, ValueError) as e:
+            raise InvalidParameter(f"config {args.config}: cannot read: {e}") from None
+        if type(config) is not dict:
+            raise InvalidParameter(f"config {args.config}: expected a JSON object")
+        for key, value in config.items():
+            if key not in flags:
+                raise InvalidParameter(f"config {args.config}: unknown key {key!r} for "
+                                       f"{args.command}; valid keys: {', '.join(sorted(flags))}")
+            layers[key] = _config_value(args.config, key, flags[key], value)
+    sp.set_defaults(**layers)
 
 
 def _encode(obj, level: int) -> str:
@@ -182,10 +203,23 @@ def _write_json(path: str | None, obj: dict) -> None:
         sys.stdout.write(text)
 
 
+def _load_selection(path: str, n: int) -> list[int]:
+    """The `selected` indices of a selection file, each a vertex of a pool of n."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except ValueError as e:
+            raise FormatError(f"{path}: not a selection JSON: {e}") from None
+    selected = doc.get("selected") if type(doc) is dict else None
+    if type(selected) is not list or not all(type(i) is int and 0 <= i < n for i in selected):
+        raise FormatError(f"{path}: \"selected\" must be a list of pool indices in [0, {n})")
+    return selected
+
+
 def _cmd_build_graph(args) -> int:
-    emb = load_embeddings(args.input, _resolve(args, "format"))
+    emb = load_embeddings(args.input, args.format)
     t0 = time.perf_counter()
-    g = build_knn_graph(emb, _resolve(args, "k", int), threads=_resolve(args, "threads", int))
+    g = build_knn_graph(emb, args.k, threads=args.threads)
     ms = (time.perf_counter() - t0) * 1e3
     out = graph_to_dict(g)
     out["ids"] = emb.ids
@@ -198,117 +232,81 @@ def _cmd_build_graph(args) -> int:
 
 def _cmd_partition(args) -> int:
     g = load_graph(args.input)
-    seed = _resolve(args, "seed", int)
     timings: dict[str, float] = {}
-    part = partition_kway(g, _resolve(args, "K", int), seed,
-                          epsilon=_resolve(args, "epsilon", float), timings=timings)
-    out = partition_to_dict(g, part, seed, timings=None if args.no_timings else timings)
+    part = partition_kway(g, args.K, args.seed, epsilon=args.epsilon, timings=timings)
+    out = partition_to_dict(g, part, args.seed, timings=None if args.no_timings else timings)
     _write_json(args.output, out)
     return 0
 
 
 def _cmd_select(args) -> int:
-    method = _resolve(args, "method")
-    seed = _resolve(args, "seed", int)
-    budget = _resolve(args, "budget", int)
     ids = None
-    if method == "subcluster":
-        emb = load_embeddings(args.input, _resolve(args, "format"))
+    if args.method == "subcluster":
+        emb = load_embeddings(args.input, args.format)
         ids = emb.ids
-        res = subcluster_select(emb, _resolve(args, "K", int), budget, seed)
+        res = subcluster_select(emb, args.K, args.budget, args.seed)
     else:
         g = load_graph(args.input)
-        if method == "fastgas":
-            res = fastgas_select(g, _resolve(args, "K", int), budget, seed)
-        elif method == "random":
-            res = random_select(g.num_vertices, budget, seed)
-        elif method == "top-degree":
-            res = top_degree_select(g, budget)
-        elif method == "pagerank":
-            res = pagerank_select(g, budget, damping=_resolve(args, "damping", float),
-                                  tol=_resolve(args, "tol", float),
-                                  max_iters=_resolve(args, "max_iters", int))
+        if args.method == "fastgas":
+            res = fastgas_select(g, args.K, args.budget, args.seed)
+        elif args.method == "random":
+            res = random_select(g.num_vertices, args.budget, args.seed)
+        elif args.method == "top-degree":
+            res = top_degree_select(g, args.budget)
         else:
-            raise InvalidParameter(f"unknown method {method!r}")
+            res = pagerank_select(g, args.budget, damping=args.damping, tol=args.tol,
+                                  max_iters=args.max_iters)
     if args.embeddings:
-        ids = load_embeddings(args.embeddings, _resolve(args, "format")).ids
+        ids = load_embeddings(args.embeddings, args.format).ids
     _write_json(args.output, res.to_dict(ids=ids, with_timings=not args.no_timings))
     return 0
 
 
 def _cmd_retrieve(args) -> int:
-    pool = load_embeddings(args.input, _resolve(args, "format"))
-    with open(args.selection, "r", encoding="utf-8") as f:
-        selected = json.load(f)["selected"]
-    tests = load_embeddings(args.tests, _resolve(args, "tests_format") or _resolve(args, "format"))
-    m = _resolve(args, "m", int)
-    if _resolve(args, "mode") == "similar":
-        plan = retrieve_similar(pool, selected, tests, m, order=_resolve(args, "order"))
+    pool = load_embeddings(args.input, args.format)
+    selected = _load_selection(args.selection, pool.n)
+    tests = load_embeddings(args.tests, args.tests_format or args.format)
+    if args.mode == "similar":
+        plan = retrieve_similar(pool, selected, tests, args.m, order=args.order)
     else:
-        plan = retrieve_random([pool.ids[i] for i in selected], tests.ids, m,
-                               _resolve(args, "seed", int))
+        plan = retrieve_random([pool.ids[i] for i in selected], tests.ids, args.m, args.seed)
     _write_json(args.output, plan.to_dict())
     return 0
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in str(_resolve(args, "sizes")).split(",") if s.strip()]
-    report = bench_mod.run_bench(
-        sizes,
-        d=_resolve(args, "d", int),
-        k=_resolve(args, "k", int),
-        K=_resolve(args, "K", int),
-        M=_resolve(args, "budget", int),
-        seed=_resolve(args, "seed", int),
-        repeats=_resolve(args, "repeats", int),
-        threads=_resolve(args, "threads", int),
-    )
+    report = bench_mod.run_bench(args.sizes, d=args.d, k=args.k, K=args.K, M=args.budget,
+                                 seed=args.seed, repeats=args.repeats, threads=args.threads)
     _write_json(args.output, report)
     if args.output:
-        rows = report["rows"]
-        csv_path = str(Path(args.output).with_suffix(".csv"))
-        with open(csv_path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+        with open(Path(args.output).with_suffix(".csv"), "w", encoding="utf-8", newline="") as f:
+            writer = csv.DictWriter(f, fieldnames=list(report["rows"][0]))
             writer.writeheader()
-            writer.writerows(rows)
+            writer.writerows(report["rows"])
     return 0
 
 
 def _cmd_verify(args) -> int:
-    report = bench_mod.run_verify(
-        max_n=_resolve(args, "max_n", int),
-        max_budget=_resolve(args, "max_budget", int),
-        instances=_resolve(args, "instances", int),
-        seed=_resolve(args, "seed", int),
-    )
+    report = bench_mod.run_verify(max_n=args.max_n, max_budget=args.max_budget,
+                                  instances=args.instances, seed=args.seed)
     _write_json(args.output, report)
-    print(
-        f"exact-optimal {report['exact_optimal']}/{report['instances']}"
-        f" min_ratio={report['min_ratio']} argmax_violations={report['argmax_violations']}",
-        file=sys.stderr,
-    )
+    print(f"exact-optimal {report['exact_optimal']}/{report['instances']}"
+          f" min_ratio={report['min_ratio']} argmax_violations={report['argmax_violations']}",
+          file=sys.stderr)
     return 0
 
 
-_COMMANDS = {
-    "build-graph": _cmd_build_graph,
-    "partition": _cmd_partition,
-    "select": _cmd_select,
-    "retrieve": _cmd_retrieve,
-    "bench": _cmd_bench,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        threads = _resolve(args, "threads", int)
-        if threads < 1:
-            raise InvalidParameter(f"--threads must be at least 1, got {threads}")
-        return _COMMANDS[args.command](args)
-    except FileNotFoundError as e:
-        print(f"error: file not found: {e.filename or e}", file=sys.stderr)
+        _layer_defaults(commands[args.command], args)
+        args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise InvalidParameter(f"--threads must be at least 1, got {args.threads}")
+        return args.run(args)
+    except OSError as e:
+        print(f"error: cannot open {e.filename or e}: {e.strerror}", file=sys.stderr)
         return 1
     except FastgasError as e:
         print(f"error: {e}", file=sys.stderr)

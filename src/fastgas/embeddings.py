@@ -156,7 +156,7 @@ def generate_synthetic(n: int, d: int, clusters: int, spread: float, seed: int) 
         raise InvalidParameter(f"need n >= clusters >= 1 and d >= 1, got n={n} clusters={clusters} d={d}")
     if not spread > 0:
         raise InvalidParameter(f"spread must be positive, got {spread}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     means = np.zeros((clusters, d), dtype=np.float64)
     for c in range(clusters):
         # axis-aligned means, pairwise distance >= 1, never at the origin

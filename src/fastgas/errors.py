@@ -70,8 +70,8 @@ class EmptySelection(ParameterError):
     pass
 
 
-class NonConvergence(FastgasError):
-    pass
+class NonConvergence(ParameterError):
+    """An iteration ran out of steps; the damping, tolerance or step limit is at fault."""
 
 
 class InternalError(FastgasError):

@@ -1,6 +1,6 @@
 """Undirected vertex- and edge-weighted similarity graph in CSR form.
 
-The same structure holds the original kNN graph (level 0, all weights 1)
+The same structure holds the original kNN graph (all weights 1)
 and the coarse graphs produced during multilevel partitioning.
 """
 
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class SimilarityGraph:
     neighbors: np.ndarray
     edge_weights: np.ndarray
     vertex_weights: np.ndarray
-    level: int = 0
     k: int | None = None
 
     def __post_init__(self):
@@ -86,7 +85,6 @@ def graph_from_edges(
     n: int,
     edges,
     vertex_weights=None,
-    level: int = 0,
     k: int | None = None,
 ) -> SimilarityGraph:
     """Build a SimilarityGraph from (u, v, w) triples with u != v.
@@ -117,7 +115,6 @@ def graph_from_edges(
         neighbors=dst,
         edge_weights=wgt,
         vertex_weights=vertex_weights,
-        level=level,
         k=k,
     )
 
@@ -204,7 +201,7 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
     dst = nbrs.reshape(-1)
     key = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
     edges = np.column_stack([key // n, key % n, np.ones(len(key), dtype=np.int64)])
-    return graph_from_edges(n, edges, level=0, k=k)
+    return graph_from_edges(n, edges, k=k)
 
 
 def induced_subgraph(g: SimilarityGraph, vertices) -> tuple[SimilarityGraph, np.ndarray]:
@@ -228,9 +225,7 @@ def induced_subgraph(g: SimilarityGraph, vertices) -> tuple[SimilarityGraph, np.
     su = np.searchsorted(mapping, src[keep])
     sv = np.searchsorted(mapping, nbr[keep])
     edges = np.column_stack([su, sv, g.edge_weights[idx[keep]]])
-    sub = graph_from_edges(
-        len(mapping), edges, vertex_weights=g.vertex_weights[mapping], level=g.level
-    )
+    sub = graph_from_edges(len(mapping), edges, vertex_weights=g.vertex_weights[mapping])
     return sub, mapping
 
 
@@ -265,12 +260,6 @@ def graph_from_dict(d: dict) -> SimilarityGraph:
         )
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad graph JSON: {e}") from e
-
-
-def save_graph(g: SimilarityGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(graph_to_dict(g), f)
-        f.write("\n")
 
 
 def load_graph(path: str) -> SimilarityGraph:

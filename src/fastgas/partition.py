@@ -20,6 +20,7 @@ from .errors import (
     InternalError,
     InvalidBisection,
     InvalidK,
+    InvalidParameter,
 )
 from .graph import SimilarityGraph, edge_cut, graph_from_edges, induced_subgraph
 
@@ -106,7 +107,7 @@ def random_matching_coarsen(g: SimilarityGraph, rng: np.random.Generator) -> Coa
         edges = np.column_stack([uniq // cid, uniq % cid, wsum])
     else:
         edges = np.empty((0, 3), dtype=np.int64)
-    coarse = graph_from_edges(cid, edges, vertex_weights=cw, level=g.level + 1)
+    coarse = graph_from_edges(cid, edges, vertex_weights=cw)
     return CoarseningLevel(graph=coarse, match_map=coarse_id)
 
 
@@ -167,7 +168,6 @@ def bfs_initial_bisect(
 def refine_kl(
     g: SimilarityGraph,
     b: Bisection,
-    max_passes: int = DEFAULT_MAX_PASSES,
     bounds: SideBounds | None = None,
 ) -> Bisection:
     """Boundary refinement in the linear-time single-move style.
@@ -195,7 +195,7 @@ def refine_kl(
         v += max(0, w1 - bounds.hi[1]) + max(0, bounds.lo[1] - w1)
         return v
 
-    for _ in range(max_passes):
+    for _ in range(DEFAULT_MAX_PASSES):
         gain = np.zeros(n, dtype=np.int64)
         src = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
         crossing = side[src] != side[g.neighbors]
@@ -276,7 +276,6 @@ def multilevel_bisect(
     g: SimilarityGraph,
     rng: np.random.Generator,
     bounds: SideBounds | None = None,
-    max_passes: int = DEFAULT_MAX_PASSES,
     timings: dict | None = None,
 ) -> Bisection:
     """Coarsen, bisect the coarsest graph, project back with refinement."""
@@ -300,14 +299,14 @@ def multilevel_bisect(
     b = bfs_initial_bisect(cur, BFS_TRIALS, rng, target0=bounds.target0)
     t2 = time.perf_counter()
 
-    b = refine_kl(cur, b, max_passes=max_passes, bounds=bounds)
+    b = refine_kl(cur, b, bounds=bounds)
     # level i was coarsened from fine_graphs[i]
     fine_graphs = [g] + [lvl.graph for lvl in levels[:-1]]
     for lvl, fine_g in zip(reversed(levels), reversed(fine_graphs)):
         side = b.side[lvl.match_map]
         w0 = int(fine_g.vertex_weights[side == 0].sum())
         projected = Bisection(side=side, cut=b.cut, side_weights=(w0, fine_g.total_vertex_weight - w0))
-        b = refine_kl(fine_g, projected, max_passes=max_passes, bounds=bounds)
+        b = refine_kl(fine_g, projected, bounds=bounds)
     t3 = time.perf_counter()
 
     if timings is not None:
@@ -333,6 +332,8 @@ def partition_kway(
     n = g.num_vertices
     if not 1 <= K <= n:
         raise InvalidK(f"K must satisfy 1 <= K <= {n}, got {K}")
+    if not 0 <= epsilon < math.inf:
+        raise InvalidParameter(f"epsilon must be finite and at least 0, got {epsilon}")
     t0 = time.perf_counter()
     assignment = np.zeros(n, dtype=np.int64)
     # global per-part weight cap, threaded through every bisection

@@ -16,12 +16,16 @@ from .errors import (
     GraphTooLarge,
     IndexOutOfRange,
     InvalidK,
+    InvalidParameter,
     NonConvergence,
 )
 from .graph import SimilarityGraph, induced_subgraph
 from .partition import partition_kway
 
 BRUTE_FORCE_MAX_VERTICES = 24
+PAGERANK_DAMPING = 0.85
+PAGERANK_TOL = 1e-10
+PAGERANK_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -173,10 +177,10 @@ def fastgas_select(g: SimilarityGraph, K: int, M: int, seed: int) -> SelectionRe
 
 
 def random_select(N: int, M: int, seed: int) -> SelectionResult:
-    if M > N:
-        raise BudgetExceedsPool(f"budget {M} exceeds pool size {N}")
+    if not 0 <= M <= N:
+        raise BudgetExceedsPool(f"budget {M} outside [0, {N}]")
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     picks = rng.choice(N, size=M, replace=False).tolist()
     ms = (time.perf_counter() - t0) * 1e3
     return SelectionResult(
@@ -187,8 +191,8 @@ def random_select(N: int, M: int, seed: int) -> SelectionResult:
 
 def top_degree_select(g: SimilarityGraph, M: int) -> SelectionResult:
     """Static baseline: the M highest-degree vertices, no residual updates."""
-    if M > g.num_vertices:
-        raise BudgetExceedsPool(f"budget {M} exceeds pool size {g.num_vertices}")
+    if not 0 <= M <= g.num_vertices:
+        raise BudgetExceedsPool(f"budget {M} outside [0, {g.num_vertices}]")
     t0 = time.perf_counter()
     deg = np.diff(g.indptr)
     idx = np.arange(g.num_vertices)
@@ -203,12 +207,16 @@ def top_degree_select(g: SimilarityGraph, M: int) -> SelectionResult:
 
 def pagerank_scores(
     g: SimilarityGraph,
-    damping: float = 0.85,
-    tol: float = 1e-10,
-    max_iters: int = 200,
+    damping: float = PAGERANK_DAMPING,
+    tol: float = PAGERANK_TOL,
+    max_iters: int = PAGERANK_MAX_ITERS,
 ) -> np.ndarray:
     """Power iteration on the row-normalized adjacency with uniform teleport;
     dangling vertices redistribute their mass uniformly."""
+    if max_iters < 1:
+        raise InvalidParameter(f"max_iters must be at least 1, got {max_iters}")
+    if not 0 <= damping <= 1:
+        raise InvalidParameter(f"damping must be in [0, 1], got {damping}")
     n = g.num_vertices
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
     wsum = np.zeros(n)
@@ -232,12 +240,12 @@ def pagerank_scores(
 def pagerank_select(
     g: SimilarityGraph,
     M: int,
-    damping: float = 0.85,
-    tol: float = 1e-10,
-    max_iters: int = 200,
+    damping: float = PAGERANK_DAMPING,
+    tol: float = PAGERANK_TOL,
+    max_iters: int = PAGERANK_MAX_ITERS,
 ) -> SelectionResult:
-    if M > g.num_vertices:
-        raise BudgetExceedsPool(f"budget {M} exceeds pool size {g.num_vertices}")
+    if not 0 <= M <= g.num_vertices:
+        raise BudgetExceedsPool(f"budget {M} outside [0, {g.num_vertices}]")
     t0 = time.perf_counter()
     scores = pagerank_scores(g, damping, tol, max_iters)
     idx = np.arange(g.num_vertices)
@@ -298,7 +306,7 @@ def subcluster_select(
         raise BudgetExceedsPool(f"budget {M} outside [{K}, {n}]")
     t0 = time.perf_counter()
     x = E.vectors.astype(np.float64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     labels, _ = lloyd_kmeans(x, K, rng, max_iters)
     sizes = [int((labels == c).sum()) for c in range(K)]
     quotas = allocate_quotas(sizes, M)

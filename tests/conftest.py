@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fastgas.bench import random_graph  # noqa: F401  (re-exported to the tests)
 from fastgas.graph import graph_from_edges
 
 
@@ -25,11 +26,6 @@ def two_triangles_bridge():
     """Triangles {0,1,2} and {3,4,5} joined by the single edge 2-3."""
     edges = [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1), (2, 3, 1)]
     return graph_from_edges(6, edges)
-
-
-def random_graph(n, p, rng):
-    edges = [(u, v, 1) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return graph_from_edges(n, edges)
 
 
 @pytest.fixture

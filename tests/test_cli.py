@@ -197,3 +197,211 @@ def test_build_graph_output_is_indented_json(workspace, timings):
     doc = json.loads(text)
     assert ("timings_ms" in doc) == (not timings)
     assert text == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.fixture
+def built(workspace):
+    tmp, pool, tests = workspace
+    assert main(["build-graph", "--input", str(pool), "--k", "5", "-o", str(tmp / "g.json")]) == 0
+    assert main(["select", "--input", str(tmp / "g.json"), "--method", "random", "--budget", "6",
+                 "-o", str(tmp / "s.json")]) == 0
+    return tmp, pool, tests
+
+
+def _argv(command, tmp, pool, tests):
+    return {
+        "build-graph": ["build-graph", "--input", str(pool)],
+        "select": ["select", "--input", str(tmp / "g.json")],
+        "retrieve": ["retrieve", "--input", str(pool), "--tests", str(tests),
+                     "--tests-format", "binary", "--selection", str(tmp / "s.json")],
+        "bench": ["bench", "--sizes", "100"],
+    }[command]
+
+
+@pytest.mark.parametrize("command, text, words", [
+    ("select", "{bad", ["cannot read"]),
+    ("select", "[1, 2]", ["expected a JSON object"]),
+    ("build-graph", '{"k": "abc"}', ["'k'", "an integer"]),
+    ("select", '{"budgte": 5}', ["'budgte'", "unknown key"]),
+    ("retrieve", '{"mode": "nope"}', ["'mode'", "one of similar, random"]),
+    ("select", '{"budget": 6.7}', ["'budget'", "an integer"]),
+    ("select", '{"budget": true}', ["'budget'", "an integer"]),
+    ("select", '{"damping": "0.5"}', ["'damping'", "a number"]),
+    ("select", '{"no_timings": 1}', ["'no_timings'", "true or false"]),
+    ("select", '{"epsilon": 0.5}', ["'epsilon'", "unknown key"]),
+    ("select", '{"input": "g.json"}', ["'input'", "unknown key"]),
+    ("select", '{"config": "c.json"}', ["'config'", "unknown key"]),
+    ("retrieve", '{"budget": 5}', ["'budget'", "unknown key"]),
+    ("bench", '{"sizes": "1,x"}', ["'sizes'", "comma-separated"]),
+    ("bench", '{"sizes": [100]}', ["'sizes'", "comma-separated"]),
+])
+def test_bad_config_exits_2(built, capsys, command, text, words):
+    tmp, pool, tests = built
+    cfg = tmp / "cfg.json"
+    cfg.write_text(text)
+    out = tmp / "out.json"
+    assert main([*_argv(command, tmp, pool, tests), "--config", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and all(w in err for w in words), err
+    assert not out.exists()
+
+
+def test_missing_config_exits_2(built, capsys):
+    tmp, pool, tests = built
+    assert main(["select", "--input", str(tmp / "g.json"), "--config", str(tmp / "nope.json"),
+                 "-o", str(tmp / "out.json")]) == 2
+    assert "nope.json" in capsys.readouterr().err
+
+
+def test_bad_env_seed_exits_2(built, capsys, monkeypatch):
+    tmp, _, _ = built
+    monkeypatch.setenv("FASTGAS_SEED", "abc")
+    assert main(["select", "--input", str(tmp / "g.json"), "-o", str(tmp / "out.json")]) == 2
+    assert "FASTGAS_SEED" in capsys.readouterr().err
+
+
+def test_config_no_timings_takes_effect(built):
+    tmp, _, _ = built
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"no_timings": True}))
+    assert main(["select", "--input", str(tmp / "g.json"), "--config", str(cfg),
+                 "-o", str(tmp / "out.json")]) == 0
+    assert "timings_ms" not in json.loads((tmp / "out.json").read_text())
+
+
+def test_select_epsilon_flag_is_gone(built, capsys):
+    tmp, _, _ = built
+    with pytest.raises(SystemExit) as exc:
+        main(["select", "--input", str(tmp / "g.json"), "--epsilon", "0.5", "-o", str(tmp / "o.json")])
+    assert exc.value.code == 2
+    assert "--epsilon" in capsys.readouterr().err
+
+
+def test_config_beats_preset_and_env(built, monkeypatch):
+    tmp, _, _ = built
+    monkeypatch.setenv("FASTGAS_SEED", "5")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"budget": 7, "seed": 9}))
+    assert main(["select", "--input", str(tmp / "g.json"), "--preset", "paper-18",
+                 "--config", str(cfg), "--no-timings", "-o", str(tmp / "s.json")]) == 0
+    sel = json.loads((tmp / "s.json").read_text())
+    assert (sel["budget"], sel["K"], sel["seed"]) == (7, 6, 9)
+
+
+def test_preset_and_env_both_apply(built, monkeypatch):
+    """Presets carry no seed, so the seed comes from the env under a preset."""
+    tmp, _, _ = built
+    monkeypatch.setenv("FASTGAS_SEED", "5")
+    assert main(["select", "--input", str(tmp / "g.json"), "--preset", "paper-18",
+                 "--no-timings", "-o", str(tmp / "s.json")]) == 0
+    sel = json.loads((tmp / "s.json").read_text())
+    assert (sel["budget"], sel["K"], sel["seed"]) == (18, 6, 5)
+    assert main(["select", "--input", str(tmp / "g.json"), "--preset", "paper-18", "--K", "3",
+                 "--seed", "2", "--no-timings", "-o", str(tmp / "s.json")]) == 0
+    sel = json.loads((tmp / "s.json").read_text())
+    assert (sel["budget"], sel["K"], sel["seed"]) == (18, 3, 2)
+
+
+@pytest.mark.parametrize("doc", [
+    {"method": "random"},
+    {"selected": [0, -1]},
+    {"selected": [0, 120]},
+    {"selected": [0, True]},
+    {"selected": "0,1"},
+    [0, 1],
+])
+@pytest.mark.parametrize("mode", ["similar", "random"])
+def test_bad_selection_file_exits_1(built, capsys, doc, mode):
+    tmp, pool, tests = built
+    sel = tmp / "bad-sel.json"
+    sel.write_text(json.dumps(doc))
+    assert main(["retrieve", "--input", str(pool), "--tests", str(tests), "--tests-format", "binary",
+                 "--selection", str(sel), "--mode", mode, "-o", str(tmp / "r.json")]) == 1
+    assert "bad-sel.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, words", [
+    (["select", "--method", "pagerank", "--max-iters", "0"], "max_iters must be at least 1"),
+    (["select", "--method", "pagerank", "--max-iters", "1"], "pagerank L1 change"),
+    (["select", "--method", "pagerank", "--damping", "1.5"], "damping must be in [0, 1]"),
+    (["select", "--method", "random", "--budget", "-1"], "budget -1 outside"),
+    (["select", "--method", "top-degree", "--budget", "-1"], "budget -1 outside"),
+    (["partition", "--K", "3", "--epsilon", "-0.1"], "epsilon must be finite"),
+    (["partition", "--K", "3", "--epsilon", "nan"], "epsilon must be finite"),
+])
+def test_bad_library_parameter_exits_2(built, capsys, args, words):
+    tmp, _, _ = built
+    assert main([*args, "--input", str(tmp / "g.json"), "-o", str(tmp / "o.json")]) == 2
+    assert words in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["random", "subcluster", "verify", "bench"])
+def test_negative_seed_is_accepted(built, case):
+    tmp, pool, _ = built
+    argv = {
+        "random": ["select", "--method", "random", "--input", str(tmp / "g.json")],
+        "subcluster": ["select", "--method", "subcluster", "--input", str(pool)],
+        "verify": ["verify", "--instances", "5"],
+        "bench": ["bench", "--sizes", "60", "--budget", "6"],
+    }[case]
+    assert main([*argv, "--seed", "-1", "-o", str(tmp / "o.json")]) == 0
+
+
+@pytest.fixture(scope="module")
+def tiny_pool(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("tiny")
+    save_embeddings(generate_synthetic(40, 4, 4, 0.2, seed=3), str(tmp / "pool.jsonl"), "jsonl")
+    save_embeddings(generate_synthetic(3, 4, 2, 0.2, seed=4), str(tmp / "tests.jsonl"), "jsonl")
+    assert main(["build-graph", "--input", str(tmp / "pool.jsonl"), "--k", "4",
+                 "-o", str(tmp / "g.json")]) == 0
+    (tmp / "s.json").write_text(json.dumps({"selected": [0, 5, 17, 39]}))
+    return tmp
+
+
+# plausible values of select's or retrieve's keys, edge values included
+_common = {"seed": st.integers(-3, 5), "threads": st.integers(-1, 3), "no_timings": st.booleans(),
+           "format": st.sampled_from(["jsonl", "binary"])}
+_plausible = st.fixed_dictionaries({}, optional={
+    **_common, "method": st.sampled_from(["fastgas", "random", "top-degree", "pagerank", "subcluster"]),
+    "budget": st.integers(-2, 45), "K": st.integers(-1, 45), "damping": st.floats(),
+    "tol": st.floats(), "max_iters": st.integers(-1, 50),
+}) | st.fixed_dictionaries({}, optional={
+    **_common, "tests_format": st.sampled_from(["jsonl", "binary"]),
+    "mode": st.sampled_from(["similar", "random"]), "m": st.integers(-1, 6),
+    "order": st.sampled_from(["asc", "desc"]),
+})
+_config_keys = st.sampled_from([
+    # select and retrieve keys
+    "seed", "threads", "no_timings", "output", "format", "method", "budget", "K", "embeddings",
+    "damping", "tol", "max_iters", "tests_format", "mode", "m", "order",
+    # typos, other subcommands' keys and non-flag names
+    "budgte", "max-iters", "k", "epsilon", "sizes", "instances", "input", "selection", "config",
+    "preset", "command", "",
+])
+_config_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 45) | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["jsonl", "binary", "fastgas", "random", "similar", "asc", "paper-18"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_configs = _plausible | st.builds(lambda a, b: {**a, **b}, _plausible,
+                                  st.dictionaries(_config_keys, _config_values, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_configs)
+def test_random_config_never_tracebacks(tiny_pool, config):
+    tmp = tiny_pool
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    # each method and mode as a flag, so every one meets every config
+    argvs = [["select", "--input", str(tmp / "g.json"), "--method", method]
+             for method in ("fastgas", "random", "top-degree", "pagerank", "subcluster")]
+    argvs += [["retrieve", "--input", str(tmp / "pool.jsonl"), "--tests", str(tmp / "tests.jsonl"),
+               "--selection", str(tmp / "s.json"), "--mode", mode] for mode in ("similar", "random")]
+    for argv in argvs:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([*argv, "--config", str(cfg), "-o", str(tmp / "out.json")])
+        assert rc in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()

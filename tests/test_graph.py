@@ -194,7 +194,6 @@ class TestBuildKnn:
     def test_level0_weights_are_one(self):
         emb = generate_synthetic(20, 4, 2, 0.3, seed=5)
         g = build_knn_graph(emb, 3)
-        assert g.level == 0
         assert (g.vertex_weights == 1).all()
         assert (g.edge_weights == 1).all()
 
