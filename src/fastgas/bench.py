@@ -116,8 +116,12 @@ def run_verify(
     on every instance; exact optimality is reported, not asserted, with any
     counterexample archived verbatim.
     """
-    if max_n > 24:
-        raise InvalidParameter(f"max_n {max_n} exceeds the brute-force limit 24")
+    if not 3 <= max_n <= 24:
+        raise InvalidParameter(f"max_n must be in [3, 24] (the brute-force limit), got {max_n}")
+    if max_budget < 1:
+        raise InvalidParameter(f"max_budget must be at least 1, got {max_budget}")
+    if instances < 0:
+        raise InvalidParameter(f"instances must be non-negative, got {instances}")
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     exact = 0
     min_ratio = 1.0

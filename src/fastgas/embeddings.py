@@ -12,6 +12,8 @@ from .errors import DimensionMismatch, FormatError, InvalidParameter, ZeroVector
 
 _MAGIC = b"FGEM"
 _VERSION = 1
+# JSONL records parsed before their vectors become one float32 block.
+_JSONL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -87,31 +89,83 @@ def save_embeddings(emb: EmbeddingMatrix, path: str, format: str = "jsonl") -> N
 
 
 def _load_jsonl(path: str) -> EmbeddingMatrix:
+    """Parse one JSON object per line into float32 rows, `_JSONL_CHUNK` at a time.
+
+    A chunk whose vectors numpy reads as one 2-D numeric array of the file's
+    width skips the per-record checks. Any other chunk, and the records
+    before a line that fails, are checked record by record, so the first bad
+    record in file order is the one named.
+    """
     ids: list[str] = []
-    rows: list[list[float]] = []
+    blocks: list[np.ndarray] = []
+    pending: list[tuple[int, object]] = []  # (line number, vector) not yet converted
     dim = None
-    with open(path, "r", encoding="utf-8") as f:
+    # surrogateescape keeps a bad byte on its line, where it can be named
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for i, line in enumerate(f):
             if not line.strip():
                 continue
             try:
+                if not line.isascii():
+                    line.encode("utf-8")
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
+            except UnicodeEncodeError as e:
+                _check_records(pending, dim)
+                raise FormatError(f"record {i}: not valid UTF-8") from e
+            except (ValueError, RecursionError) as e:
+                _check_records(pending, dim)
                 raise FormatError(f"record {i}: invalid JSON ({e})") from e
             if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
+                _check_records(pending, dim)
                 raise FormatError(f"record {i}: expected object with 'id' and 'vector'")
-            vec = obj["vector"]
-            if not isinstance(vec, list) or not all(isinstance(x, (int, float)) for x in vec):
-                raise FormatError(f"record {i}: 'vector' must be an array of numbers")
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise FormatError(f"record {i}: dimension {len(vec)} != {dim}")
             ids.append(str(obj["id"]))
-            rows.append(vec)
-    if not rows:
+            pending.append((i, obj["vector"]))
+            if len(pending) == _JSONL_CHUNK:
+                dim = _convert_records(pending, dim, blocks)
+        if pending:
+            _convert_records(pending, dim, blocks)
+    if not blocks:
         raise FormatError(f"{path}: no records")
-    return EmbeddingMatrix(ids=ids, vectors=np.asarray(rows, dtype=np.float64))
+    vectors = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    blocks.clear()  # before EmbeddingMatrix's checks allocate their temporaries
+    return EmbeddingMatrix(ids=ids, vectors=vectors)
+
+
+def _check_records(pending: list, dim: int | None) -> int | None:
+    """The per-record vector checks; raises at the first bad record, else returns the width."""
+    for i, vec in pending:
+        if not isinstance(vec, list) or not all(isinstance(x, (int, float)) for x in vec):
+            raise FormatError(f"record {i}: 'vector' must be an array of numbers")
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise FormatError(f"record {i}: dimension {len(vec)} != {dim}")
+    return dim
+
+
+def _convert_records(pending: list, dim: int | None, blocks: list) -> int:
+    """Append the pending vectors to `blocks` as one float32 block; returns the width."""
+    rows = [vec for _, vec in pending]
+    try:
+        arr = np.array(rows)
+    except ValueError:  # ragged or nested
+        arr = None
+    if (arr is None or arr.ndim != 2 or arr.dtype.kind not in "biuf"
+            or dim is not None and arr.shape[1] != dim):
+        dim = _check_records(pending, dim)
+        try:
+            arr = np.asarray(rows, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float64 range
+            for i, vec in pending:
+                try:
+                    np.asarray(vec, dtype=np.float64)
+                except OverflowError as e:
+                    raise FormatError(f"record {i}: value out of float64 range") from e
+            raise
+    pending.clear()
+    # through float64, so integers round exactly as float64(x) would
+    blocks.append(arr.astype(np.float64, copy=False).astype(np.float32))
+    return arr.shape[1]
 
 
 def _load_binary(path: str) -> EmbeddingMatrix:
@@ -139,7 +193,10 @@ def _load_binary(path: str) -> EmbeddingMatrix:
         off += 2
         if len(data) < off + ln:
             raise FormatError(f"{path}: truncated id at record {i}")
-        ids.append(data[off : off + ln].decode("utf-8"))
+        try:
+            ids.append(data[off : off + ln].decode("utf-8"))
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: id of record {i} is not valid UTF-8") from e
         off += ln
     return EmbeddingMatrix(ids=ids, vectors=vecs.copy())
 

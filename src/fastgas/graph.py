@@ -251,17 +251,49 @@ def graph_to_dict(g: SimilarityGraph) -> dict:
 
 
 def graph_from_dict(d: dict) -> SimilarityGraph:
+    """The graph of a graph JSON document; anything malformed raises FormatError."""
     try:
-        return graph_from_edges(
-            int(d["num_vertices"]),
-            d["edges"],
-            vertex_weights=d.get("vertex_weights"),
-            k=d.get("k"),
-        )
-    except (KeyError, TypeError, ValueError) as e:
+        n = int(d["num_vertices"])
+        edges = np.asarray(d["edges"], dtype=np.int64).reshape(-1, 3)
+        vertex_weights = d.get("vertex_weights")
+        if vertex_weights is not None:
+            vertex_weights = np.asarray(vertex_weights, dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"bad graph JSON: {e}") from e
+    if n < 0:
+        raise FormatError(f"bad graph JSON: num_vertices {n} is negative")
+    if vertex_weights is not None and vertex_weights.shape != (n,):
+        raise FormatError(f"bad graph JSON: vertex_weights must be a list of {n} integers")
+    _check_edges(edges, n)
+    return graph_from_edges(n, edges, vertex_weights=vertex_weights, k=d.get("k"))
+
+
+def _check_edges(edges: np.ndarray, n: int) -> None:
+    """Raise FormatError naming the first edge that is out of range, a
+    self-loop, negatively weighted, or a repeat of an earlier edge."""
+    u, v, w = edges.T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(len(edges), dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    problems = (
+        ((lo < 0) | (hi >= n), f"endpoint outside [0, {n})"),
+        (u == v, "self-loop"),
+        (w < 0, "negative weight"),
+        (repeat, "duplicate edge"),
+    )
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in problems]))
+    if bad.size:
+        j = bad[0]
+        reason = next(why for mask, why in problems if mask[j])
+        raise FormatError(f"bad graph JSON: edge {j} {edges[j].tolist()}: {reason}")
 
 
 def load_graph(path: str) -> SimilarityGraph:
     with open(path, "r", encoding="utf-8") as f:
-        return graph_from_dict(json.load(f))
+        try:
+            doc = json.load(f)
+        except (ValueError, RecursionError) as e:
+            raise FormatError(f"{path}: not a graph JSON: {e}") from None
+    return graph_from_dict(doc)

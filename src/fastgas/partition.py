@@ -334,6 +334,9 @@ def partition_kway(
         raise InvalidK(f"K must satisfy 1 <= K <= {n}, got {K}")
     if not 0 <= epsilon < math.inf:
         raise InvalidParameter(f"epsilon must be finite and at least 0, got {epsilon}")
+    if (g.vertex_weights != 1).any():
+        # the part cap below counts vertices
+        raise InvalidParameter("K-way partitioning needs every vertex weight to be 1")
     t0 = time.perf_counter()
     assignment = np.zeros(n, dtype=np.int64)
     # global per-part weight cap, threaded through every bisection

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,37 @@ def test_verify_subcommand(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["argmax_violations"] == 0
     assert rep["min_ratio"] >= 1 - 1 / 2.718281828
+
+
+@pytest.mark.parametrize("flag,value", [("--max-n", "2"), ("--max-n", "25"), ("--max-budget", "0"),
+                                        ("--instances", "-1")])
+def test_verify_bad_arguments_exit_2(tmp_path, capsys, flag, value):
+    assert main(["verify", flag, value, "-o", str(tmp_path / "v.json")]) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "v.json").exists()
+
+
+def test_verify_zero_instances_checks_the_fixture(tmp_path):
+    assert main(["verify", "--instances", "0", "-o", str(tmp_path / "v.json")]) == 0
+    assert json.loads((tmp_path / "v.json").read_text())["instances"] == 1
+
+
+def test_out_of_range_graph_edge_exits_1(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"num_vertices": 3, "k": 1, "edges": [[0, 7, 1]], "vertex_weights": [1, 1, 1]}))
+    assert main(["select", "--budget", "1", "--K", "1", "--input", str(g), "-o", str(tmp_path / "s.json")]) == 1
+    assert "edge 0 [0, 7, 1]" in capsys.readouterr().err
+
+
+def test_weighted_graph_cannot_be_partitioned(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"num_vertices": 4, "k": 1, "edges": [[0, 1, 1], [2, 3, 1]],
+                             "vertex_weights": [1, 3, 1, 1]}))
+    for argv in (["partition"], ["select", "--method", "fastgas", "--budget", "2"]):
+        assert main([*argv, "--K", "2", "--input", str(g), "-o", str(tmp_path / "o.json")]) == 2
+        assert "vertex weight" in capsys.readouterr().err
+    assert main(["select", "--method", "top-degree", "--budget", "2", "--input", str(g),
+                 "-o", str(tmp_path / "o.json")]) == 0
 
 
 def test_bench_subcommand(tmp_path):
@@ -403,5 +435,71 @@ def test_random_config_never_tracebacks(tiny_pool, config):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc = main([*argv, "--config", str(cfg), "-o", str(tmp / "out.json")])
+        assert rc in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    pool = generate_synthetic(30, 4, 3, 0.2, seed=5)
+    save_embeddings(pool, str(tmp / "pool.jsonl"), "jsonl")
+    save_embeddings(pool, str(tmp / "pool.bin"), "binary")
+    assert main(["build-graph", "--input", str(tmp / "pool.jsonl"), "--k", "3", "--no-timings",
+                 "-o", str(tmp / "g.json")]) == 0
+    return tmp, {kind: (tmp / name).read_bytes()
+                 for kind, name in (("jsonl", "pool.jsonl"), ("binary", "pool.bin"), ("graph", "g.json"))}
+
+
+_numbers_re = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+_values = st.sampled_from([b"-1", b"0", b"1", b"2", b"29", b"30", b"99999", b"1e999", b"-0.5", b"NaN",
+                           b"null", b"true", b'"1"', b"[]", b"[1]", b"{}"])
+_tokens = _values | st.sampled_from([b",", b"]", b"\xff", b"\x00", b"\n", b""])
+
+
+@st.composite
+def _mutations(draw, data: bytes):
+    """`data` after a few edits: a number replaced by another JSON value, a
+    byte or a span replaced, a span deleted or repeated, or the end cut off."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["number"] * 5 + ["byte", "span", "delete", "repeat", "truncate"]))
+        numbers = list(_numbers_re.finditer(data))
+        if kind == "number" and numbers:
+            m = numbers[draw(st.integers(0, len(numbers) - 1))]
+            data = data[:m.start()] + draw(_values) + data[m.end():]
+            continue
+        a = draw(st.integers(0, len(data)))
+        b = draw(st.integers(a, min(len(data), a + 64)))
+        if kind == "byte":
+            data = data[:a] + bytes([draw(st.integers(0, 255))]) + data[a + 1:]
+        elif kind == "span":
+            data = data[:a] + draw(_tokens) + data[b:]
+        elif kind == "delete":
+            data = data[:a] + data[b:]
+        elif kind == "repeat":
+            data = data[:b] + data[a:b] + data[b:]
+        else:
+            data = data[:a]
+    return data
+
+
+_fuzz_argvs = {
+    "jsonl": [["build-graph", "--k", "3"], ["select", "--method", "subcluster", "--K", "3", "--budget", "4"]],
+    "binary": [["build-graph", "--k", "3", "--format", "binary"]],
+    "graph": [["select", "--method", method, "--K", "3", "--budget", "4"]
+              for method in ("fastgas", "random", "top-degree", "pagerank")] + [["partition", "--K", "3"]],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(_fuzz_argvs)))
+def test_mutated_input_files_never_traceback(fuzz_inputs, data, kind):
+    tmp, originals = fuzz_inputs
+    path = tmp / f"mutated.{kind}"
+    path.write_bytes(data.draw(_mutations(originals[kind])))
+    for argv in _fuzz_argvs[kind]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([*argv, "--input", str(path), "-o", str(tmp / "out.json")])
         assert rc in (0, 1, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import cycle_graph, path_graph, random_graph, star_graph
 from fastgas.embeddings import EmbeddingMatrix, cosine_similarity, generate_synthetic
-from fastgas.errors import EmptyVertexSet, IndexOutOfRange, InvalidK, PartitionMismatch
+from fastgas.errors import EmptyVertexSet, FormatError, IndexOutOfRange, InvalidK, PartitionMismatch
 from fastgas.graph import (
     _KNN_GROUPS,
     build_knn_graph,
@@ -16,6 +16,7 @@ from fastgas.graph import (
     graph_from_dict,
     graph_to_dict,
     induced_subgraph,
+    load_graph,
 )
 
 
@@ -315,3 +316,40 @@ class TestSerialization:
         assert np.array_equal(back.edge_list(), g.edge_list())
         assert np.array_equal(back.vertex_weights, g.vertex_weights)
         assert back.k == g.k
+
+    @pytest.mark.parametrize("edges,vertex_weights,words", [
+        ([[0, 7, 1]], [1, 1, 1], "edge 0 [0, 7, 1]: endpoint outside [0, 3)"),
+        ([[0, 1, 1], [-1, 2, 1]], None, "edge 1 [-1, 2, 1]: endpoint outside"),
+        ([[0, 1, 1], [2, 2, 1]], None, "edge 1 [2, 2, 1]: self-loop"),
+        ([[0, 1, 1], [1, 2, 1], [0, 1, 1]], None, "edge 2 [0, 1, 1]: duplicate edge"),
+        ([[0, 1, 1], [2, 1, 1], [1, 2, 3]], None, "edge 2 [1, 2, 3]: duplicate edge"),
+        ([[0, 1, 1], [1, 2, -1]], None, "edge 1 [1, 2, -1]: negative weight"),
+        # the first bad edge is named, whatever is wrong with it
+        ([[0, 1, 1], [1, 1, 1], [0, 9, 1]], None, "edge 1 [1, 1, 1]: self-loop"),
+        ([[0, 1, 1]], [1, 1], "vertex_weights must be a list of 3 integers"),
+        ([[0, 1, 1]], [[1], [1], [1]], "vertex_weights must be a list of 3 integers"),
+        ([[0, 1]], None, "bad graph JSON"),
+        ([[0, 1, 2**70]], None, "bad graph JSON"),
+    ])
+    def test_malformed_graph_names_the_edge(self, edges, vertex_weights, words):
+        doc = {"num_vertices": 3, "k": 1, "edges": edges}
+        if vertex_weights is not None:
+            doc["vertex_weights"] = vertex_weights
+        with pytest.raises(FormatError) as e:
+            graph_from_dict(doc)
+        assert words in str(e.value)
+
+    def test_negative_num_vertices(self):
+        with pytest.raises(FormatError, match="num_vertices -1"):
+            graph_from_dict({"num_vertices": -1, "edges": []})
+
+    def test_either_orientation_is_accepted(self):
+        g = graph_from_dict({"num_vertices": 3, "k": 1, "edges": [[1, 0, 1], [2, 1, 4]]})
+        assert g.edge_list().tolist() == [[0, 1, 1], [1, 2, 4]]
+
+    @pytest.mark.parametrize("data", [b"{", b'{"num_vertices": 3}\n{}', b"\xff", b"[" * 100000])
+    def test_unreadable_graph_file(self, tmp_path, data):
+        p = tmp_path / "g.json"
+        p.write_bytes(data)
+        with pytest.raises(FormatError, match="g.json"):
+            load_graph(str(p))
