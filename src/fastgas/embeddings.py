@@ -39,11 +39,13 @@ class EmbeddingMatrix:
                 if x in seen:
                     raise FormatError(f"duplicate id {x!r} at record {i}")
                 seen.add(x)
-        bad = np.nonzero(~np.isfinite(vecs).all(axis=1))[0]
+        # row extremes take no n x d temporary: a row is finite iff both are
+        # (max and min propagate NaN), and zero iff both are 0
+        top, bottom = vecs.max(axis=1), vecs.min(axis=1)
+        bad = np.flatnonzero(~(np.isfinite(top) & np.isfinite(bottom)))
         if bad.size:
             raise FormatError(f"non-finite value at record {bad[0]}")
-        norms = np.linalg.norm(vecs, axis=1)
-        zero = np.nonzero(norms == 0.0)[0]
+        zero = np.flatnonzero((top == 0) & (bottom == 0))
         if zero.size:
             raise FormatError(f"zero vector at record {zero[0]}")
         vecs.setflags(write=False)
@@ -198,7 +200,7 @@ def _load_binary(path: str) -> EmbeddingMatrix:
         except UnicodeDecodeError as e:
             raise FormatError(f"{path}: id of record {i} is not valid UTF-8") from e
         off += ln
-    return EmbeddingMatrix(ids=ids, vectors=vecs.copy())
+    return EmbeddingMatrix(ids=ids, vectors=vecs)  # a read-only view of `data`
 
 
 def generate_synthetic(n: int, d: int, clusters: int, spread: float, seed: int) -> EmbeddingMatrix:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -21,11 +22,14 @@ from .errors import (
     PartitionMismatch,
 )
 
-# Fixed query block size for kNN search. Independent of the worker count so
-# the adjacency is byte-identical at any --threads setting.
-_KNN_BLOCK = 256
-# Strided column groups of the float32 kNN screen; one max per group and row.
+# Bytes of float32 similarities in one strip of the kNN screen.
+_KNN_STRIP_BYTES = 16 << 20
+# Strided column groups of a kNN strip; one float32 max per strip row and group.
 _KNN_GROUPS = 512
+# Strided row groups of the kNN column side; one float32 max per vertex and group.
+_KNN_TABLE_GROUPS = 128
+# Columns of a strip whose column side is handled at once; bounds its temporaries.
+_KNN_COLUMN_CHUNK = 2048
 # Float64 elements per operand in one chunk of the kNN re-rank.
 _RERANK_CHUNK = 1 << 16
 
@@ -119,6 +123,14 @@ def graph_from_edges(
     )
 
 
+def _unique_sorted(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) of a 1-D array, by a sort and an adjacent-difference mask."""
+    x = np.sort(x)
+    keep = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> SimilarityGraph:
     """kNN graph under cosine similarity, symmetrized by union.
 
@@ -126,87 +138,190 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
     vice versa. Similarity is the float64 dot product of the rows normalized
     in float64, and ties go to the lower index.
 
-    The search is exact. Each block of `_KNN_BLOCK` query rows is screened
-    with a float32 GEMM. For unit rows a float32 similarity is within about
-    (d+2)·2⁻²⁴ of the float64 one (the dot-product bound γ_d of Higham,
-    Accuracy and Stability of Numerical Algorithms, §3.1). The k-th largest
-    of the `_KNN_GROUPS` strided group maxima is therefore at most that far
-    above the float64 k-th similarity. Every column whose float32 similarity
-    is at least that group max minus twice the bound (`eps`) is kept, a set
-    that holds the float64 top-k and every tie at its k-th value. Only those
-    candidates are re-ranked in float64. The block size and the grouping are
-    fixed, so `threads` never changes the result.
+    The search is exact, and a float32 GEMM computes each similarity once.
+    For unit rows a float32 similarity s32 lies within eps/2 = (d+4)·2⁻²⁴/(1-d·2⁻²⁴)
+    of the float64 one s64 (the dot-product bound γ_d of Higham, Accuracy and
+    Stability of Numerical Algorithms, §3.1, plus the rounding of the rows).
+    The screen covers the upper triangle of U·Uᵀ in strips, rows [a, a+b)
+    against the columns [a, n), with b set by the byte budget
+    `_KNN_STRIP_BYTES`. Each strip serves both ends of its pairs:
+
+    - Row side. A strip row has now met every column: the strip's columns
+      here, the earlier vertices as a column of earlier strips. Its threshold
+      lo is the k-th largest of its strided group maxima minus eps, over the
+      strip's `_KNN_GROUPS` column groups and its table's row groups (below).
+      Those k maxima belong to k distinct columns, so the float64 k-th
+      similarity is at least that group max - eps/2, and every column of the
+      float64 top k, ties included, has s32 >= lo. The row keeps the strip's
+      columns at or above lo.
+    - Column side. A vertex v past the strip meets the strip's rows as
+      columns. A per-vertex table keeps v's max over each of
+      `_KNN_TABLE_GROUPS` strided row groups, and v keeps the rows at or
+      above a provisional threshold: the k-th largest of its table so far
+      minus eps, refreshed after 1, 2, 4, 8, ... strips. The table only
+      grows, so that threshold never exceeds v's final lo and the kept rows
+      are a superset of those at or above lo. A last filter against lo drops
+      the rest.
+
+    Thresholds are rounded down to float32, which only adds candidates and
+    keeps float64 temporaries out of the comparisons with float32 strips.
+
+    So each vertex's candidates are exactly its columns with s32 >= lo. Let K
+    be its k-th largest s32. Fewer than k columns have s32 > K and at least k
+    have s32 >= K, so the float64 k-th similarity lies within eps/2 of K. A
+    candidate above K + eps therefore has s64 above that value and is in the
+    top k; one below K - eps is out. Only the band in between is re-ranked in
+    float64 by (-s64, index), and a vertex whose band holds just the members
+    it still needs takes them all. The result is the exact float64 top k, so
+    neither the strip sizes nor `threads`, which splits each strip's columns
+    across workers, can change it.
     """
     n, d = emb.n, emb.dim
     if k < 1 or k >= n:
         raise InvalidK(f"k must satisfy 1 <= k <= N-1, got k={k}, N={n}")
     vecs = emb.vectors
+    chunk = max(1, _RERANK_CHUNK // d)
     norms = np.empty(n)
     unit32 = np.empty((n, d), dtype=np.float32)
-
-    def unit64(rows) -> np.ndarray:
-        return np.divide(vecs[rows], norms[rows, None])
-
-    for start in range(0, n, _KNN_BLOCK):
-        rows = slice(start, start + _KNN_BLOCK)
+    for start in range(0, n, chunk):
+        rows = slice(start, start + chunk)
         norms[rows] = np.linalg.norm(vecs[rows].astype(np.float64), axis=1)
-        unit32[rows] = unit64(rows)
+        unit32[rows] = np.divide(vecs[rows], norms[rows, None])
 
     # eps is twice (d+4)·u/(1-d·u), which bounds |float32 - float64 similarity|
     # of unit rows while d·u < 1/2: γ_d for the float32 dot product, 2·u for
     # rounding the rows to float32, and slack for the second-order terms.
     u = 2.0**-24
     eps = 2 * (d + 4) * u / (1 - d * u)
-    # g strided column groups: group j holds the columns j, j+g, j+2g, ...
-    # At least k of them must have a finite max (one may hold only -inf).
-    g = min(n, max(_KNN_GROUPS, k + 1))
-    width = -(-n // g) * g
-    chunk = max(1, _RERANK_CHUNK // d)
+    v, c, sim = _knn_screen(unit32, k, eps, threads)
+    del unit32
 
-    def block_topk(start: int) -> np.ndarray:
-        stop = min(start + _KNN_BLOCK, n)
-        b = stop - start
-        # float32 screen; the padding columns past n and the diagonal are -inf
-        s = np.empty((b, width), dtype=np.float32)
-        np.matmul(unit32[start:stop], unit32.T, out=s[:, :n])
-        s[:, n:] = -np.inf
-        s[np.arange(b), np.arange(start, stop)] = -np.inf
-        groups = s.reshape(b, -1, g)
-        gmax = groups.max(axis=1)
-        lo = np.partition(gmax, g - k, axis=1)[:, g - k].astype(np.float64) - eps
-        hit_rows, hit_groups = np.nonzero(gmax >= lo[:, None])
-        pair, step = np.nonzero(groups[hit_rows, :, hit_groups] >= lo[hit_rows, None])
-        rows, cols = hit_rows[pair], hit_groups[pair] + g * step
+    # K, each vertex's k-th largest float32 similarity, from one argsort of
+    # uint64 keys ordered as (vertex, -similarity)
+    bits = sim.view(np.uint32)
+    rising = np.where(bits >> 31, ~bits, bits | np.uint32(1 << 31))
+    key = (v.astype(np.uint64) << np.uint64(32)) | (~rising).astype(np.uint64)
+    counts = np.bincount(v, minlength=n)
+    kth = sim[np.argsort(key)[np.cumsum(counts) - counts + k - 1]].astype(np.float64)[v]
+    sim = sim.astype(np.float64)
+    above = sim > kth + eps
+    band = ~above & (sim >= kth - eps)
+    need = k - np.bincount(v[above], minlength=n)
+    bv, bc = v[band], c[band]
+    rerank = np.bincount(bv, minlength=n)[bv] > need[bv]
+    rv, rc = bv[rerank], bc[rerank]
+    s64 = np.empty(len(rv))
+    for i in range(0, len(rv), chunk):
+        j = slice(i, i + chunk)
+        s64[j] = np.einsum("ij,ij->i", np.divide(vecs[rv[j]], norms[rv[j], None]),
+                           np.divide(vecs[rc[j]], norms[rc[j], None]))
+    order = np.lexsort((rc, -s64, rv))
+    rv, rc = rv[order], rc[order]
+    counts = np.bincount(rv, minlength=n)
+    take = np.arange(len(rv)) - (np.cumsum(counts) - counts)[rv] < need[rv]
 
-        # float64 re-rank of the candidates, ordered by (row, -sim, col)
-        q = unit64(slice(start, stop))
-        sim = np.empty(len(rows))
-        for i in range(0, len(rows), chunk):
-            j = slice(i, i + chunk)
-            sim[j] = np.einsum("ij,ij->i", q[rows[j]], unit64(cols[j]))
-        cols = cols[np.lexsort((cols, -sim, rows))]
-        counts = np.bincount(rows, minlength=b)
-        first = np.cumsum(counts) - counts
-        return cols[first[:, None] + np.arange(k)]
-
-    starts = range(0, n, _KNN_BLOCK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            blocks = list(ex.map(block_topk, starts))
-    else:
-        blocks = [block_topk(s) for s in starts]
-    nbrs = np.vstack(blocks)
-
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
-    dst = nbrs.reshape(-1)
-    key = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
+    src = np.concatenate([v[above], bv[~rerank], rv[take]]).astype(np.int64)
+    dst = np.concatenate([c[above], bc[~rerank], rc[take]]).astype(np.int64)
+    key = _unique_sorted(np.minimum(src, dst) * n + np.maximum(src, dst))
     edges = np.column_stack([key // n, key % n, np.ones(len(key), dtype=np.int64)])
     return graph_from_edges(n, edges, k=k)
 
 
+def _knn_screen(unit32: np.ndarray, k: int, eps: float, threads: int):
+    """The float32 screen of `build_knn_graph`: int32 vertices, int32 columns
+    and the float32 similarities of every pair with s32 >= the vertex's lo."""
+    n = len(unit32)
+    # gc strided column groups per strip row. table[r, v] is the largest
+    # similarity of v to a row i < v of a finished strip with i % gr == r.
+    gc = min(n, max(_KNN_GROUPS, k + 1))
+    gr = min(n, max(_KNN_TABLE_GROUPS, k + 1))
+    table = np.full((gr, n), -np.inf, dtype=np.float32)
+    prov = np.full(n, -np.inf, dtype=np.float32)  # provisional thresholds
+    lo = np.empty(n, dtype=np.float32)
+
+    def floor_kth(t: np.ndarray) -> np.ndarray:
+        """Per row of t: its k-th largest value minus eps, rounded down to float32."""
+        t.partition(t.shape[1] - k, axis=1)
+        x = t[:, -k].astype(np.float64) - eps
+        y = x.astype(np.float32)
+        return np.where(y > x, np.nextafter(y, np.float32(-np.inf)), y)
+
+    # a strip is b rows by ceil((n-a)/gc)·gc float32 columns within the
+    # budget; b is below gr or a multiple of it, so its rows fold onto the table
+    strips, a = [], 0
+    while a < n:
+        b = max(1, _KNN_STRIP_BYTES // (4 * gc * -(-(n - a) // gc)))
+        b = min(b - b % gr if b >= gr else b, n - a)
+        strips.append((a, b))
+        a += b
+    buf = np.empty(max(b * gc * -(-(n - a) // gc) for a, b in strips), dtype=np.float32)
+
+    def screen(a: int, b: int, s: np.ndarray, c0: int, c1: int, refresh: bool):
+        """GEMM of the strip's columns [c0, c1) (relative to a), the strip
+        rows' group maxima over them, and the column side of those past the
+        strip. Returns the maxima and the column-side candidates."""
+        hi = min(c1, n - a)
+        if c0 < hi:
+            np.matmul(unit32[a:a + b], unit32[a + c0:a + hi].T, out=s[:, c0:hi])
+        s[:, max(c0, hi):c1] = -np.inf
+        diag = np.arange(c0, min(c1, b))
+        s[diag, diag] = -np.inf
+        gmax = s[:, c0:c1].reshape(b, -1, gc).max(axis=1)
+
+        h = min(b, gr)  # row a+i goes to group (a+i) % gr
+        grp = slice(None) if h == gr and a % gr == 0 else (a + np.arange(h)) % gr
+        found = []
+        for j0 in range(max(c0, b), hi, _KNN_COLUMN_CHUNK):
+            j1 = min(j0 + _KNN_COLUMN_CHUNK, hi)
+            cols = slice(a + j0, a + j1)
+            part = s[:, j0:j1].reshape(b // h, h, j1 - j0)
+            fold = part.max(axis=0) if b > h else part[0]
+            table[grp, cols] = np.maximum(table[grp, cols], fold)
+            if refresh:
+                prov[cols] = floor_kth(table[:, cols].T.copy())
+            th = prov[cols]
+            hit_r, hit_j = np.divmod(np.flatnonzero(fold >= th), j1 - j0)
+            vals = part[:, hit_r, hit_j]
+            p, i = np.divmod(np.flatnonzero(vals >= th[hit_j]), len(hit_j))
+            found.append(((a + j0 + hit_j[i]).astype(np.int32),
+                          (a + p * h + hit_r[i]).astype(np.int32), vals[p, i]))
+        return gmax, found
+
+    ex = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    found, provisional = [], []
+    try:
+        for strip, (a, b) in enumerate(strips):
+            steps = -(-(n - a) // gc)
+            s = buf[: b * steps * gc].reshape(b, steps * gc)
+            refresh = strip & (strip + 1) == 0  # after 1, 2, 4, 8, ... strips
+            cuts = [gc * (steps * t // threads) for t in range(threads + 1)]
+            args = [(a, b, s, c0, c1, refresh) for c0, c1 in zip(cuts, cuts[1:]) if c0 < c1]
+            parts = list(ex.map(lambda x: screen(*x), args)) if ex else [screen(*x) for x in args]
+            for _, cands in parts:
+                provisional += cands
+            if refresh:
+                provisional = [(v[keep], r[keep], sim[keep])
+                               for v, r, sim in provisional for keep in [sim >= prov[v]]]
+
+            # row side: the strip's rows now have their final thresholds
+            gmax = parts[0][0] if len(parts) == 1 else np.maximum.reduce([m for m, _ in parts])
+            lo[a:a + b] = floor_kth(np.concatenate([gmax, table[:, a:a + b].T], axis=1))
+            groups = s.reshape(b, steps, gc)
+            hit_rows, hit_groups = np.divmod(np.flatnonzero(gmax >= lo[a:a + b, None]), gc)
+            vals = groups[hit_rows, :, hit_groups]
+            pair, step = np.divmod(np.flatnonzero(vals >= lo[a + hit_rows, None]), steps)
+            found.append(((a + hit_rows[pair]).astype(np.int32),
+                          (a + hit_groups[pair] + gc * step).astype(np.int32), vals[pair, step]))
+    finally:
+        if ex:
+            ex.shutdown()
+    found += [(v[keep], r[keep], sim[keep]) for v, r, sim in provisional for keep in [sim >= lo[v]]]
+    return tuple(np.concatenate(x) for x in zip(*found))
+
+
 def induced_subgraph(g: SimilarityGraph, vertices) -> tuple[SimilarityGraph, np.ndarray]:
     """Subgraph on `vertices` plus the sub-index -> original-index mapping."""
-    mapping = np.unique(np.asarray(list(vertices), dtype=np.int64))
+    mapping = _unique_sorted(np.asarray(list(vertices), dtype=np.int64))
     if mapping.size == 0:
         raise EmptyVertexSet("induced_subgraph needs a nonempty vertex set")
     if mapping[0] < 0 or mapping[-1] >= g.num_vertices:
@@ -250,22 +365,46 @@ def graph_to_dict(g: SimilarityGraph) -> dict:
     }
 
 
-def graph_from_dict(d: dict) -> SimilarityGraph:
-    """The graph of a graph JSON document; anything malformed raises FormatError."""
+def graph_from_dict(d: dict, *, bools: bool = True) -> SimilarityGraph:
+    """The graph of a graph JSON document; anything malformed raises FormatError.
+
+    Every number must be a JSON integer: a float, a numeric string, true or
+    false is named and rejected. `bools=False` promises that the document
+    holds no true or false, which skips the scan for them."""
     try:
-        n = int(d["num_vertices"])
-        edges = np.asarray(d["edges"], dtype=np.int64).reshape(-1, 3)
+        n = d["num_vertices"]
+        edges = _integers(d["edges"], "edge", bools).reshape(-1, 3)
         vertex_weights = d.get("vertex_weights")
         if vertex_weights is not None:
-            vertex_weights = np.asarray(vertex_weights, dtype=np.int64)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+            vertex_weights = _integers(vertex_weights, "vertex weight", bools)
+    except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad graph JSON: {e}") from e
+    if type(n) is not int:
+        raise FormatError(f"bad graph JSON: num_vertices {json.dumps(n)} is not an integer")
     if n < 0:
         raise FormatError(f"bad graph JSON: num_vertices {n} is negative")
     if vertex_weights is not None and vertex_weights.shape != (n,):
         raise FormatError(f"bad graph JSON: vertex_weights must be a list of {n} integers")
     _check_edges(edges, n)
     return graph_from_edges(n, edges, vertex_weights=vertex_weights, k=d.get("k"))
+
+
+def _integers(x, what: str, bools: bool) -> np.ndarray:
+    """The JSON array `x` of integers, or of arrays of them, as int64; a
+    FormatError names the first entry that holds anything else."""
+    arr = np.asarray(x)
+    # numpy reads [1, True] as int64, so a bool needs a scan of its own
+    if arr.dtype == np.int64 and not (
+            bools and bool in set(map(type, x if arr.ndim == 1 else chain.from_iterable(x)))):
+        return arr
+    if arr.size == 0:
+        return arr.astype(np.int64)
+    for j, entry in enumerate(x):
+        values = entry if isinstance(entry, list) else [entry]
+        if any(type(v) is not int for v in values):
+            kind = "not all integers" if isinstance(entry, list) else "not an integer"
+            raise FormatError(f"bad graph JSON: {what} {j} {json.dumps(entry)}: {kind}")
+    raise FormatError(f"bad graph JSON: {what}s hold an integer outside the int64 range")
 
 
 def _check_edges(edges: np.ndarray, n: int) -> None:
@@ -291,9 +430,12 @@ def _check_edges(edges: np.ndarray, n: int) -> None:
 
 
 def load_graph(path: str) -> SimilarityGraph:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except (ValueError, RecursionError) as e:
-            raise FormatError(f"{path}: not a graph JSON: {e}") from None
-    return graph_from_dict(doc)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise FormatError(f"{path}: not a graph JSON: {e}") from None
+    bools = "true" in text or "false" in text
+    del text  # as large as the graph's arrays: not held while they are built
+    return graph_from_dict(doc, bools=bools)

@@ -151,6 +151,14 @@ def test_out_of_range_graph_edge_exits_1(tmp_path, capsys):
     assert "edge 0 [0, 7, 1]" in capsys.readouterr().err
 
 
+def test_non_integer_graph_numbers_exit_1(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"num_vertices": 3, "edges": [[0, "2", 1.9], [1.7, 2, 1]],
+                             "vertex_weights": [1, True, 1.5]}))
+    assert main(["partition", "--K", "2", "--input", str(g), "-o", str(tmp_path / "p.json")]) == 1
+    assert 'edge 0 [0, "2", 1.9]: not all integers' in capsys.readouterr().err
+
+
 def test_weighted_graph_cannot_be_partitioned(tmp_path, capsys):
     g = tmp_path / "g.json"
     g.write_text(json.dumps({"num_vertices": 4, "k": 1, "edges": [[0, 1, 1], [2, 3, 1]],

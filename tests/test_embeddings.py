@@ -20,6 +20,7 @@ from fastgas.embeddings import (
     synthetic_labels,
 )
 from fastgas.errors import DimensionMismatch, FormatError, InvalidParameter, ZeroVector
+from fastgas.graph import build_knn_graph
 from fastgas.selection import lloyd_kmeans
 
 
@@ -314,6 +315,33 @@ class TestRoundTrip:
         p.write_bytes(data[:-1] + b"\xff")
         with pytest.raises(FormatError, match="id of record 2 is not valid UTF-8"):
             load_embeddings(str(p), "binary")
+
+    def test_tiny_rows_are_not_zero(self, tmp_path):
+        # their float32 norms underflow to 0, but no entry is 0
+        x = np.array([[1e-30, 1e-30], [1e-45, 0], [1, 0]], dtype=np.float32)
+        emb = EmbeddingMatrix(ids=["a", "b", "c"], vectors=x)
+        p = tmp_path / "m.bin"
+        save_embeddings(emb, str(p), "binary")
+        back = load_embeddings(str(p), "binary")
+        assert back.vectors.tobytes() == x.tobytes()
+        assert build_knn_graph(back, 1).edge_list().tolist() == [[0, 1, 1], [1, 2, 1]]
+        with pytest.raises(FormatError, match="zero vector at record 1"):
+            EmbeddingMatrix(ids=["a", "b"], vectors=[[1e-30, 0], [-0.0, 0]])
+
+    def test_binary_load_keeps_one_copy(self, tmp_path):
+        n, d = 2000, 64
+        p = tmp_path / "m.bin"
+        save_embeddings(generate_synthetic(n, d, 5, 0.5, seed=1), str(p), "binary")
+        tracemalloc.start()
+        try:
+            emb = load_embeddings(str(p), "binary")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not emb.vectors.flags.writeable
+        # the file's bytes, the ids and boolean temporaries: below one more
+        # float32 matrix, which a copy of the rows or float32 norms would take
+        assert peak < p.stat().st_size + n * d * 4
 
     def test_binary_header_checked(self, tmp_path):
         p = tmp_path / "m.bin"

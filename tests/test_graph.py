@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_graph, path_graph, random_graph, star_graph
+from fastgas import graph
 from fastgas.embeddings import EmbeddingMatrix, cosine_similarity, generate_synthetic
 from fastgas.errors import EmptyVertexSet, FormatError, IndexOutOfRange, InvalidK, PartitionMismatch
 from fastgas.graph import (
@@ -59,8 +63,19 @@ def per_row_knn_oracle(emb, k):
     return {(min(u, v), max(u, v)) for u, v in zip(src, nbrs.reshape(-1).tolist())}
 
 
-def knn_edges(emb, k, threads=1):
-    return {tuple(e[:2]) for e in build_knn_graph(emb, k, threads=threads).edge_list().tolist()}
+def knn_edges(emb, k, threads=1, strip_bytes=None):
+    """The kNN edge set; `strip_bytes` overrides the strip byte budget, so
+    that a small pool spans several strips."""
+    budget = graph._KNN_STRIP_BYTES if strip_bytes is None else strip_bytes
+    with mock.patch.object(graph, "_KNN_STRIP_BYTES", budget):
+        g = build_knn_graph(emb, k, threads=threads)
+    return {tuple(e[:2]) for e in g.edge_list().tolist()}
+
+
+def small_strips(n):
+    """A strip budget that gives an n-row pool (n <= _KNN_GROUPS) four or more
+    strips: a strip row then spans n float32 columns."""
+    return 4 * n * max(1, n // 4)
 
 
 def as_emb(x):
@@ -94,7 +109,11 @@ class TestKnnExactness:
     @given(knn_inputs())
     def test_matches_per_row_oracle(self, case):
         emb, k = case
-        assert knn_edges(emb, k) == per_row_knn_oracle(emb, k)
+        expected = per_row_knn_oracle(emb, k)
+        assert knn_edges(emb, k) == expected
+        # several strips: the column side, its threshold refreshes and the
+        # final filter all take part
+        assert knn_edges(emb, k, strip_bytes=small_strips(emb.n)) == expected
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(3, 14), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -104,7 +123,9 @@ class TestKnnExactness:
         x[n // 2] = x[0]
         emb = as_emb(x)
         for k in (1, n // 2, n - 1):
-            assert knn_edges(emb, k) == brute_force_knn_edges(emb, k)
+            expected = brute_force_knn_edges(emb, k)
+            assert knn_edges(emb, k) == expected
+            assert knn_edges(emb, k, strip_bytes=small_strips(n)) == expected
 
     def test_duplicates_tie_to_the_lower_index(self):
         x = np.random.default_rng(3).normal(size=(60, 8)).astype(np.float32)
@@ -149,6 +170,44 @@ class TestKnnExactness:
         emb = as_emb(x)
         for k in (1, 10):
             assert knn_edges(emb, k) == per_row_knn_oracle(emb, k)
+
+    @pytest.mark.parametrize("rows", [1, 100, 128, 300])
+    def test_strips_of_any_height(self, rows):
+        # 700 rows span 1024 float32 columns at first, so a strip holds one
+        # row, fewer rows than the table's 128 row groups, exactly 128, or 300
+        # rounded down to 256; column chunks of 100 and three workers split it
+        x = np.random.default_rng(rows).normal(size=(700, 16)).astype(np.float32)
+        x[3::11] = x[::11][: len(x[3::11])]
+        emb = as_emb(x)
+        with mock.patch.object(graph, "_KNN_COLUMN_CHUNK", 100):
+            for k in (1, 10):
+                expected = per_row_knn_oracle(emb, k)
+                for threads in (1, 3):
+                    assert knn_edges(emb, k, threads, strip_bytes=4 * 1024 * rows) == expected
+
+    def test_many_workers_on_a_short_switch_interval(self):
+        # the workers write disjoint columns of shared arrays: a lost or
+        # crossed write would change the graph
+        x = np.random.default_rng(8).normal(size=(3000, 8)).astype(np.float32)
+        emb = as_emb(x)
+        expected = per_row_knn_oracle(emb, 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert knn_edges(emb, 5, threads=8, strip_bytes=4 * 3072 * 64) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_traced_peak_is_bounded_by_the_strip_budget(self):
+        n, d = 4096, 64
+        emb = generate_synthetic(n, d, 8, 0.5, seed=3)
+        tracemalloc.start()
+        try:
+            build_knn_graph(emb, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * graph._KNN_STRIP_BYTES + n * d * 4
 
     @pytest.mark.parametrize("n", [7, 600])
     def test_k_equals_n_minus_1_is_complete(self, n):
@@ -330,6 +389,16 @@ class TestSerialization:
         ([[0, 1, 1]], [[1], [1], [1]], "vertex_weights must be a list of 3 integers"),
         ([[0, 1]], None, "bad graph JSON"),
         ([[0, 1, 2**70]], None, "bad graph JSON"),
+        # every number is a JSON integer: no float, numeric string or bool
+        ([[0, "2", 1]], None, 'edge 0 [0, "2", 1]: not all integers'),
+        ([[0, 1, 1], [1.7, 2, 1]], None, "edge 1 [1.7, 2, 1]: not all integers"),
+        ([[0, 1, 1.0]], None, "edge 0 [0, 1, 1.0]: not all integers"),
+        ([[0, 1, 1], [1, 2, True]], None, "edge 1 [1, 2, true]: not all integers"),
+        ([[True, 2, 1]], None, "edge 0 [true, 2, 1]: not all integers"),
+        ([[0, 1, 1]], [1, True, 1], "vertex weight 1 true: not an integer"),
+        ([[0, 1, 1]], [1, 1, 1.5], "vertex weight 2 1.5: not an integer"),
+        ([[0, 1, 1]], [False, False, False], "vertex weight 0 false: not an integer"),
+        ([[0, 1, 2**63]], None, "edges hold an integer outside the int64 range"),
     ])
     def test_malformed_graph_names_the_edge(self, edges, vertex_weights, words):
         doc = {"num_vertices": 3, "k": 1, "edges": edges}
@@ -338,6 +407,19 @@ class TestSerialization:
         with pytest.raises(FormatError) as e:
             graph_from_dict(doc)
         assert words in str(e.value)
+
+    @pytest.mark.parametrize("n", ["3", 3.0, True])
+    def test_num_vertices_must_be_an_integer(self, n):
+        with pytest.raises(FormatError, match="num_vertices .* is not an integer"):
+            graph_from_dict({"num_vertices": n, "edges": []})
+
+    def test_graph_file_with_true_is_rejected(self, tmp_path):
+        p = tmp_path / "g.json"
+        p.write_text('{"num_vertices": 3, "edges": [[0, 1, 1], [1, 2, true]]}')
+        with pytest.raises(FormatError, match="edge 1"):
+            load_graph(str(p))
+        p.write_text('{"num_vertices": 3, "edges": [[0, 1, 1], [1, 2, 1]], "k": 1}')
+        assert load_graph(str(p)).num_edges == 2
 
     def test_negative_num_vertices(self):
         with pytest.raises(FormatError, match="num_vertices -1"):
