@@ -22,12 +22,11 @@ from .errors import (
     PartitionMismatch,
 )
 
-# Bytes of float32 similarities in one strip of the kNN screen.
-_KNN_STRIP_BYTES = 16 << 20
-# Strided column groups of a kNN strip; one float32 max per strip row and group.
-_KNN_GROUPS = 512
-# Strided row groups of the kNN column side; one float32 max per vertex and group.
-_KNN_TABLE_GROUPS = 128
+# One strip of the kNN screen holds as many float32 similarities as this
+# many rows of n: 16 MB at n = 16k.
+_KNN_STRIP_ROWS = 256
+# Strided partner groups of the kNN screen; one float32 max per vertex and group.
+_KNN_GROUPS = 128
 # Columns of a strip whose column side is handled at once; bounds its temporaries.
 _KNN_COLUMN_CHUNK = 2048
 # Float64 elements per operand in one chunk of the kNN re-rank.
@@ -143,25 +142,26 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
     of the float64 one s64 (the dot-product bound γ_d of Higham, Accuracy and
     Stability of Numerical Algorithms, §3.1, plus the rounding of the rows).
     The screen covers the upper triangle of U·Uᵀ in strips, rows [a, a+b)
-    against the columns [a, n), with b set by the byte budget
-    `_KNN_STRIP_BYTES`. Each strip serves both ends of its pairs:
+    against the columns [a, n), each strip at most `_KNN_STRIP_ROWS`·n
+    similarities. A table keeps, for each vertex v and each of
+    `_KNN_GROUPS` strided groups r, the largest similarity of v to a partner
+    i ≡ r screened so far. Each strip serves both ends of its pairs:
 
-    - Row side. A strip row has now met every column: the strip's columns
-      here, the earlier vertices as a column of earlier strips. Its threshold
-      lo is the k-th largest of its strided group maxima minus eps, over the
-      strip's `_KNN_GROUPS` column groups and its table's row groups (below).
-      Those k maxima belong to k distinct columns, so the float64 k-th
-      similarity is at least that group max - eps/2, and every column of the
-      float64 top k, ties included, has s32 >= lo. The row keeps the strip's
-      columns at or above lo.
+    - Row side. The strip's columns fold onto its rows' table. A strip row
+      has now met every partner: the strip's columns here, the earlier
+      vertices as a column of earlier strips. So its threshold lo is final:
+      the k-th largest of its table minus eps. Those k maxima belong to k
+      distinct partners, so the float64 k-th similarity is at least that
+      group max - eps/2, and every column of the float64 top k, ties
+      included, has s32 >= lo. The row keeps the strip's columns at or
+      above lo.
     - Column side. A vertex v past the strip meets the strip's rows as
-      columns. A per-vertex table keeps v's max over each of
-      `_KNN_TABLE_GROUPS` strided row groups, and v keeps the rows at or
-      above a provisional threshold: the k-th largest of its table so far
-      minus eps, refreshed after 1, 2, 4, 8, ... strips. The table only
-      grows, so that threshold never exceeds v's final lo and the kept rows
-      are a superset of those at or above lo. A last filter against lo drops
-      the rest.
+      columns, which fold onto v's table. v keeps the rows at or above a
+      provisional threshold: the k-th largest of its table so far minus
+      eps, refreshed after 1, 2, 4, 8, ... strips. The table only grows, so
+      that threshold never exceeds v's final lo and the kept rows are a
+      superset of those at or above lo. A last filter against lo drops the
+      rest.
 
     Thresholds are rounded down to float32, which only adds candidates and
     keeps float64 temporaries out of the comparisons with float32 strips.
@@ -231,45 +231,43 @@ def _knn_screen(unit32: np.ndarray, k: int, eps: float, threads: int):
     """The float32 screen of `build_knn_graph`: int32 vertices, int32 columns
     and the float32 similarities of every pair with s32 >= the vertex's lo."""
     n = len(unit32)
-    # gc strided column groups per strip row. table[r, v] is the largest
-    # similarity of v to a row i < v of a finished strip with i % gr == r.
-    gc = min(n, max(_KNN_GROUPS, k + 1))
-    gr = min(n, max(_KNN_TABLE_GROUPS, k + 1))
-    table = np.full((gr, n), -np.inf, dtype=np.float32)
+    # table[r, v] is the largest similarity of v to a partner i screened so
+    # far with i % g == r
+    g = min(n, max(_KNN_GROUPS, k + 1))
+    table = np.full((g, n), -np.inf, dtype=np.float32)
     prov = np.full(n, -np.inf, dtype=np.float32)  # provisional thresholds
     lo = np.empty(n, dtype=np.float32)
 
     def floor_kth(t: np.ndarray) -> np.ndarray:
-        """Per row of t: its k-th largest value minus eps, rounded down to float32."""
-        t.partition(t.shape[1] - k, axis=1)
+        """Per column of t: its k-th largest value minus eps, rounded down to float32."""
+        t = t.T.copy()
+        t.partition(g - k, axis=1)
         x = t[:, -k].astype(np.float64) - eps
         y = x.astype(np.float32)
         return np.where(y > x, np.nextafter(y, np.float32(-np.inf)), y)
 
-    # a strip is b rows by ceil((n-a)/gc)·gc float32 columns within the
-    # budget; b is below gr or a multiple of it, so its rows fold onto the table
+    # a strip is b rows by ceil((n-a)/g)·g columns, at most _KNN_STRIP_ROWS·n
+    # similarities; b is below g or a multiple of it, so its rows fold onto the table
     strips, a = [], 0
     while a < n:
-        b = max(1, _KNN_STRIP_BYTES // (4 * gc * -(-(n - a) // gc)))
-        b = min(b - b % gr if b >= gr else b, n - a)
+        b = max(1, _KNN_STRIP_ROWS * n // (g * -(-(n - a) // g)))
+        b = min(b - b % g if b >= g else b, n - a)
         strips.append((a, b))
         a += b
-    buf = np.empty(max(b * gc * -(-(n - a) // gc) for a, b in strips), dtype=np.float32)
+    buf = np.empty(max(b * g * -(-(n - a) // g) for a, b in strips), dtype=np.float32)
 
     def screen(a: int, b: int, s: np.ndarray, c0: int, c1: int, refresh: bool):
-        """GEMM of the strip's columns [c0, c1) (relative to a), the strip
-        rows' group maxima over them, and the column side of those past the
-        strip. Returns the maxima and the column-side candidates."""
+        """GEMM of the strip's columns [c0, c1) (relative to a) and the
+        column side of those past the strip; returns its candidates."""
         hi = min(c1, n - a)
         if c0 < hi:
             np.matmul(unit32[a:a + b], unit32[a + c0:a + hi].T, out=s[:, c0:hi])
         s[:, max(c0, hi):c1] = -np.inf
         diag = np.arange(c0, min(c1, b))
         s[diag, diag] = -np.inf
-        gmax = s[:, c0:c1].reshape(b, -1, gc).max(axis=1)
 
-        h = min(b, gr)  # row a+i goes to group (a+i) % gr
-        grp = slice(None) if h == gr and a % gr == 0 else (a + np.arange(h)) % gr
+        h = min(b, g)  # row a+i goes to group (a+i) % g
+        grp = slice(None) if h == g and a % g == 0 else (a + np.arange(h)) % g
         found = []
         for j0 in range(max(c0, b), hi, _KNN_COLUMN_CHUNK):
             j1 = min(j0 + _KNN_COLUMN_CHUNK, hi)
@@ -278,40 +276,43 @@ def _knn_screen(unit32: np.ndarray, k: int, eps: float, threads: int):
             fold = part.max(axis=0) if b > h else part[0]
             table[grp, cols] = np.maximum(table[grp, cols], fold)
             if refresh:
-                prov[cols] = floor_kth(table[:, cols].T.copy())
+                prov[cols] = floor_kth(table[:, cols])
             th = prov[cols]
             hit_r, hit_j = np.divmod(np.flatnonzero(fold >= th), j1 - j0)
             vals = part[:, hit_r, hit_j]
             p, i = np.divmod(np.flatnonzero(vals >= th[hit_j]), len(hit_j))
             found.append(((a + j0 + hit_j[i]).astype(np.int32),
                           (a + p * h + hit_r[i]).astype(np.int32), vals[p, i]))
-        return gmax, found
+        return found
 
     ex = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     found, provisional = [], []
     try:
         for strip, (a, b) in enumerate(strips):
-            steps = -(-(n - a) // gc)
-            s = buf[: b * steps * gc].reshape(b, steps * gc)
+            steps = -(-(n - a) // g)
+            s = buf[: b * steps * g].reshape(b, steps * g)
             refresh = strip & (strip + 1) == 0  # after 1, 2, 4, 8, ... strips
-            cuts = [gc * (steps * t // threads) for t in range(threads + 1)]
+            cuts = [g * (steps * t // threads) for t in range(threads + 1)]
             args = [(a, b, s, c0, c1, refresh) for c0, c1 in zip(cuts, cuts[1:]) if c0 < c1]
-            parts = list(ex.map(lambda x: screen(*x), args)) if ex else [screen(*x) for x in args]
-            for _, cands in parts:
+            for cands in ex.map(lambda x: screen(*x), args) if ex else [screen(*x) for x in args]:
                 provisional += cands
             if refresh:
                 provisional = [(v[keep], r[keep], sim[keep])
                                for v, r, sim in provisional for keep in [sim >= prov[v]]]
 
-            # row side: the strip's rows now have their final thresholds
-            gmax = parts[0][0] if len(parts) == 1 else np.maximum.reduce([m for m, _ in parts])
-            lo[a:a + b] = floor_kth(np.concatenate([gmax, table[:, a:a + b].T], axis=1))
-            groups = s.reshape(b, steps, gc)
-            hit_rows, hit_groups = np.divmod(np.flatnonzero(gmax >= lo[a:a + b, None]), gc)
+            # row side: the strip's columns fold onto its rows' table, which
+            # then covers every partner, so their thresholds are final
+            groups = s.reshape(b, steps, g)
+            gmax = groups.max(axis=1)  # column a+j goes to group (a+j) % g
+            rows = slice(a, a + b)
+            grp = (a + np.arange(g)) % g
+            table[grp, rows] = np.maximum(table[grp, rows], gmax.T)
+            lo[rows] = floor_kth(table[:, rows])
+            hit_rows, hit_groups = np.divmod(np.flatnonzero(gmax >= lo[rows, None]), g)
             vals = groups[hit_rows, :, hit_groups]
             pair, step = np.divmod(np.flatnonzero(vals >= lo[a + hit_rows, None]), steps)
             found.append(((a + hit_rows[pair]).astype(np.int32),
-                          (a + hit_groups[pair] + gc * step).astype(np.int32), vals[pair, step]))
+                          (a + hit_groups[pair] + g * step).astype(np.int32), vals[pair, step]))
     finally:
         if ex:
             ex.shutdown()
@@ -365,41 +366,48 @@ def graph_to_dict(g: SimilarityGraph) -> dict:
     }
 
 
-def graph_from_dict(d: dict, *, bools: bool = True) -> SimilarityGraph:
+def graph_from_dict(d: dict) -> SimilarityGraph:
     """The graph of a graph JSON document; anything malformed raises FormatError.
 
-    Every number must be a JSON integer: a float, a numeric string, true or
-    false is named and rejected. `bools=False` promises that the document
-    holds no true or false, which skips the scan for them."""
+    `edges` is a list of [u, v, weight] triples and `vertex_weights`, if
+    given, a list of num_vertices numbers. Every number must be a JSON
+    integer: a float, a numeric string, true or false is named and rejected."""
     try:
         n = d["num_vertices"]
-        edges = _integers(d["edges"], "edge", bools).reshape(-1, 3)
+        edges = np.asarray(d["edges"])
         vertex_weights = d.get("vertex_weights")
         if vertex_weights is not None:
-            vertex_weights = _integers(vertex_weights, "vertex weight", bools)
+            vertex_weights = np.asarray(vertex_weights)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad graph JSON: {e}") from e
     if type(n) is not int:
         raise FormatError(f"bad graph JSON: num_vertices {json.dumps(n)} is not an integer")
     if n < 0:
         raise FormatError(f"bad graph JSON: num_vertices {n} is negative")
-    if vertex_weights is not None and vertex_weights.shape != (n,):
-        raise FormatError(f"bad graph JSON: vertex_weights must be a list of {n} integers")
+    if edges.shape == (0,):
+        edges = edges.reshape(0, 3)
+    if edges.ndim != 2 or edges.shape[1] != 3:
+        raise FormatError("bad graph JSON: edges must be a list of [u, v, weight] triples")
+    edges = _integers(edges, d["edges"], chain.from_iterable(d["edges"]), "edge")
+    if vertex_weights is not None:
+        if vertex_weights.shape != (n,):
+            raise FormatError(f"bad graph JSON: vertex_weights must be a list of {n} integers")
+        vertex_weights = _integers(vertex_weights, d["vertex_weights"], d["vertex_weights"],
+                                   "vertex weight")
     _check_edges(edges, n)
     return graph_from_edges(n, edges, vertex_weights=vertex_weights, k=d.get("k"))
 
 
-def _integers(x, what: str, bools: bool) -> np.ndarray:
-    """The JSON array `x` of integers, or of arrays of them, as int64; a
+def _integers(arr: np.ndarray, entries: list, numbers, what: str) -> np.ndarray:
+    """`arr`, numpy's reading of the JSON array `entries`, as int64 if all
+    `numbers`, the numbers in `entries`, are integers; otherwise a
     FormatError names the first entry that holds anything else."""
-    arr = np.asarray(x)
     # numpy reads [1, True] as int64, so a bool needs a scan of its own
-    if arr.dtype == np.int64 and not (
-            bools and bool in set(map(type, x if arr.ndim == 1 else chain.from_iterable(x)))):
+    if arr.dtype == np.int64 and bool not in set(map(type, numbers)):
         return arr
     if arr.size == 0:
         return arr.astype(np.int64)
-    for j, entry in enumerate(x):
+    for j, entry in enumerate(entries):
         values = entry if isinstance(entry, list) else [entry]
         if any(type(v) is not int for v in values):
             kind = "not all integers" if isinstance(entry, list) else "not an integer"
@@ -430,12 +438,9 @@ def _check_edges(edges: np.ndarray, n: int) -> None:
 
 
 def load_graph(path: str) -> SimilarityGraph:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as e:
-        raise FormatError(f"{path}: not a graph JSON: {e}") from None
-    bools = "true" in text or "false" in text
-    del text  # as large as the graph's arrays: not held while they are built
-    return graph_from_dict(doc, bools=bools)
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except (ValueError, RecursionError) as e:
+            raise FormatError(f"{path}: not a graph JSON: {e}") from None
+    return graph_from_dict(doc)

@@ -63,19 +63,19 @@ def per_row_knn_oracle(emb, k):
     return {(min(u, v), max(u, v)) for u, v in zip(src, nbrs.reshape(-1).tolist())}
 
 
-def knn_edges(emb, k, threads=1, strip_bytes=None):
-    """The kNN edge set; `strip_bytes` overrides the strip byte budget, so
-    that a small pool spans several strips."""
-    budget = graph._KNN_STRIP_BYTES if strip_bytes is None else strip_bytes
-    with mock.patch.object(graph, "_KNN_STRIP_BYTES", budget):
+def knn_edges(emb, k, threads=1, strip_rows=None):
+    """The kNN edge set; `strip_rows` overrides the strip budget, so that a
+    small pool spans several strips."""
+    budget = graph._KNN_STRIP_ROWS if strip_rows is None else strip_rows
+    with mock.patch.object(graph, "_KNN_STRIP_ROWS", budget):
         g = build_knn_graph(emb, k, threads=threads)
     return {tuple(e[:2]) for e in g.edge_list().tolist()}
 
 
 def small_strips(n):
     """A strip budget that gives an n-row pool (n <= _KNN_GROUPS) four or more
-    strips: a strip row then spans n float32 columns."""
-    return 4 * n * max(1, n // 4)
+    strips: a strip row then spans n columns."""
+    return max(1, n // 4)
 
 
 def as_emb(x):
@@ -113,7 +113,7 @@ class TestKnnExactness:
         assert knn_edges(emb, k) == expected
         # several strips: the column side, its threshold refreshes and the
         # final filter all take part
-        assert knn_edges(emb, k, strip_bytes=small_strips(emb.n)) == expected
+        assert knn_edges(emb, k, strip_rows=small_strips(emb.n)) == expected
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(3, 14), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -125,7 +125,7 @@ class TestKnnExactness:
         for k in (1, n // 2, n - 1):
             expected = brute_force_knn_edges(emb, k)
             assert knn_edges(emb, k) == expected
-            assert knn_edges(emb, k, strip_bytes=small_strips(n)) == expected
+            assert knn_edges(emb, k, strip_rows=small_strips(n)) == expected
 
     def test_duplicates_tie_to_the_lower_index(self):
         x = np.random.default_rng(3).normal(size=(60, 8)).astype(np.float32)
@@ -150,7 +150,7 @@ class TestKnnExactness:
         for k in (1, 2, 7):
             assert knn_edges(emb, k) == per_row_knn_oracle(emb, k)
 
-    @pytest.mark.parametrize("n, d", [(40, 40), (300, 300), (_KNN_GROUPS + 77, 64)])
+    @pytest.mark.parametrize("n, d", [(40, 40), (300, 300), (4 * _KNN_GROUPS + 77, 64)])
     def test_one_hot_rows_all_tie(self, n, d):
         # row i is the unit vector on axis i mod d: similarities are 1 on the
         # same axis and 0 elsewhere, and each tie goes to the lower index
@@ -162,7 +162,7 @@ class TestKnnExactness:
             expected |= {(min(u, v), max(u, v)) for v in ranked[:k]}
         assert knn_edges(emb, k) == expected
 
-    @pytest.mark.parametrize("n, d", [(300, 2), (_KNN_GROUPS, 1), (2 * _KNN_GROUPS + 77, 64),
+    @pytest.mark.parametrize("n, d", [(300, 2), (4 * _KNN_GROUPS, 1), (8 * _KNN_GROUPS + 77, 64),
                                       (600, 768), (130, 1536)])
     def test_group_shapes_and_dimensions(self, n, d):
         x = np.random.default_rng(n + d).normal(size=(n, d)).astype(np.float32)
@@ -173,9 +173,10 @@ class TestKnnExactness:
 
     @pytest.mark.parametrize("rows", [1, 100, 128, 300])
     def test_strips_of_any_height(self, rows):
-        # 700 rows span 1024 float32 columns at first, so a strip holds one
-        # row, fewer rows than the table's 128 row groups, exactly 128, or 300
-        # rounded down to 256; column chunks of 100 and three workers split it
+        # 700 rows span 768 columns (six groups of 128) at first, so a budget
+        # of ceil(rows·768/700) rows of 700 gives a first strip of one row,
+        # fewer rows than the table's 128 groups, exactly 128, or 300 rounded
+        # down to 256; column chunks of 100 and three workers split it
         x = np.random.default_rng(rows).normal(size=(700, 16)).astype(np.float32)
         x[3::11] = x[::11][: len(x[3::11])]
         emb = as_emb(x)
@@ -183,7 +184,7 @@ class TestKnnExactness:
             for k in (1, 10):
                 expected = per_row_knn_oracle(emb, k)
                 for threads in (1, 3):
-                    assert knn_edges(emb, k, threads, strip_bytes=4 * 1024 * rows) == expected
+                    assert knn_edges(emb, k, threads, strip_rows=-(-rows * 768 // 700)) == expected
 
     def test_many_workers_on_a_short_switch_interval(self):
         # the workers write disjoint columns of shared arrays: a lost or
@@ -194,7 +195,8 @@ class TestKnnExactness:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert knn_edges(emb, 5, threads=8, strip_bytes=4 * 3072 * 64) == expected
+            # 66 rows of 3000 similarities make 64-row strips of 3072 columns
+            assert knn_edges(emb, 5, threads=8, strip_rows=66) == expected
         finally:
             sys.setswitchinterval(interval)
 
@@ -207,7 +209,10 @@ class TestKnnExactness:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * graph._KNN_STRIP_BYTES + n * d * 4
+        # the strip, the group table (half a strip) and the column side's
+        # temporaries; a float32 n x n array (16 strips) would not fit
+        strip = 4 * graph._KNN_STRIP_ROWS * n
+        assert peak <= 3 * strip + n * d * 4
 
     @pytest.mark.parametrize("n", [7, 600])
     def test_k_equals_n_minus_1_is_complete(self, n):
@@ -399,6 +404,12 @@ class TestSerialization:
         ([[0, 1, 1]], [1, 1, 1.5], "vertex weight 2 1.5: not an integer"),
         ([[0, 1, 1]], [False, False, False], "vertex weight 0 false: not an integer"),
         ([[0, 1, 2**63]], None, "edges hold an integer outside the int64 range"),
+        # edges are [u, v, weight] triples: not pairs, flat or nested deeper
+        ([[0, 1]], None, "edges must be a list of [u, v, weight] triples"),
+        ([[0, 1], [2, 1], [1, 2]], None, "edges must be a list of [u, v, weight] triples"),
+        ([0, 1, 1], None, "edges must be a list of [u, v, weight] triples"),
+        ([[[0, 1, 1]]], None, "edges must be a list of [u, v, weight] triples"),
+        ([[[0, 1, True]]], None, "edges must be a list of [u, v, weight] triples"),
     ])
     def test_malformed_graph_names_the_edge(self, edges, vertex_weights, words):
         doc = {"num_vertices": 3, "k": 1, "edges": edges}
