@@ -11,6 +11,7 @@ Exit codes: 1 = input error, 2 = parameter error, 3 = internal invariant violati
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -19,6 +20,8 @@ import time
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+import numpy as np
 
 from . import bench as bench_mod
 from .embeddings import load_embeddings
@@ -36,6 +39,9 @@ from .selection import (
     subcluster_select,
     top_degree_select,
 )
+
+# Rows of an integer array formatted by one `%`.
+_ENCODE_ROWS = 4096
 
 PRESETS = {
     "paper-18": {"k": 10, "budget": 18, "K": 6},
@@ -165,8 +171,10 @@ def _layer_defaults(sp: argparse.ArgumentParser, args: argparse.Namespace) -> No
     sp.set_defaults(**layers)
 
 
-def _encode(obj, level: int) -> str:
-    """`json.dumps(obj, indent=2)` nested `level` deep, byte for byte.
+def _json_pieces(obj, level: int):
+    """`json.dumps(obj, indent=2)` nested `level` deep, byte for byte, as
+    consecutive strings; a 2-D integer array (graph edges) is written as the
+    list of its rows.
 
     The stdlib skips its C encoder whenever `indent` is set, so lists of
     ints, of strings and of equal-length int rows (graph edges, selections,
@@ -174,45 +182,79 @@ def _encode(obj, level: int) -> str:
     """
     ind = "\n" + "  " * (level + 1)
     close = "\n" + "  " * level + "]"
-    if type(obj) is dict and obj and all(type(key) is str for key in obj):
-        items = [encode_basestring_ascii(key) + ": " + _encode(v, level + 1)
-                 for key, v in obj.items()]
-        return "{" + ind + ("," + ind).join(items) + "\n" + "  " * level + "}"
-    if type(obj) is list and obj:
+    if type(obj) is np.ndarray and obj.ndim == 2 and obj.dtype.kind == "i" and obj.size:
+        # a chunk of rows at a time, as one flat list of Python ints
+        row = _row_template(obj.shape[1], ind)
+        for i in range(0, len(obj), _ENCODE_ROWS):
+            part = obj[i:i + _ENCODE_ROWS]
+            rows = ("," + ind).join([row] * len(part)) % tuple(part.ravel().tolist())
+            yield ("," if i else "[") + ind + rows
+        yield close
+    elif type(obj) is np.ndarray:
+        yield from _json_pieces(obj.tolist(), level)
+    elif type(obj) is dict and obj and all(type(key) is str for key in obj):
+        for i, (key, v) in enumerate(obj.items()):
+            yield ("," if i else "{") + ind + encode_basestring_ascii(key) + ": "
+            yield from _json_pieces(v, level + 1)
+        yield "\n" + "  " * level + "}"
+    elif type(obj) is list and obj:
         kinds = set(map(type, obj))
+        widths = set(map(len, obj)) if kinds == {list} else ()
+        flat = tuple(chain.from_iterable(obj)) if len(widths) == 1 else ()
         if kinds == {int}:
-            return "[" + ind + ("," + ind).join(map(int.__repr__, obj)) + close
-        if kinds == {str}:
-            return "[" + ind + ("," + ind).join(map(encode_basestring_ascii, obj)) + close
-        if kinds == {list}:
-            widths = set(map(len, obj))
-            flat = tuple(chain.from_iterable(obj))
-            if len(widths) == 1 and flat and set(map(type, flat)) == {int}:
-                inner = ind + "  "
-                row = "[" + inner + ("," + inner).join(["%d"] * widths.pop()) + ind + "]"
-                return "[" + ind + ("," + ind).join([row] * len(obj)) % flat + close
-        return "[" + ind + ("," + ind).join([_encode(v, level + 1) for v in obj]) + close
-    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
+            yield "[" + ind + ("," + ind).join(map(int.__repr__, obj)) + close
+        elif kinds == {str}:
+            yield "[" + ind + ("," + ind).join(map(encode_basestring_ascii, obj)) + close
+        elif flat and set(map(type, flat)) == {int}:
+            row = _row_template(widths.pop(), ind)
+            yield "[" + ind + ("," + ind).join([row] * len(obj)) % flat + close
+        else:
+            for i, v in enumerate(obj):
+                yield ("," if i else "[") + ind
+                yield from _json_pieces(v, level + 1)
+            yield close
+    else:
+        yield json.dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
+
+
+def _row_template(width: int, ind: str) -> str:
+    """The `%` template of one indented row of `width` ints."""
+    inner = ind + "  "
+    return "[" + inner + ("," + inner).join(["%d"] * width) + ind + "]"
 
 
 def _write_json(path: str | None, obj: dict) -> None:
-    text = _encode(obj, 0) + "\n"
-    if path:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
+    """`obj` as indented JSON to the file `path`, or to stdout, piece by piece."""
+    out = open(path, "w", encoding="utf-8", newline="\n") if path else contextlib.nullcontext(sys.stdout)
+    with out as f:
+        f.writelines(_json_pieces(obj, 0))
+        f.write("\n")
 
 
-def _load_selection(path: str, n: int) -> list[int]:
-    """The `selected` indices of a selection file, each a vertex of a pool of n."""
+def _load_selection(path: str, ids: list[str]) -> list[int]:
+    """The `selected` indices of a selection file, each a vertex of the pool
+    with these ids. Its `selected_ids`, unless null or absent, must be the
+    pool's ids at `selected`, so a selection made on another pool is refused."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
         except ValueError as e:
             raise FormatError(f"{path}: not a selection JSON: {e}") from None
+    n = len(ids)
     selected = doc.get("selected") if type(doc) is dict else None
     if type(selected) is not list or not all(type(i) is int and 0 <= i < n for i in selected):
         raise FormatError(f"{path}: \"selected\" must be a list of pool indices in [0, {n})")
+    named = doc.get("selected_ids")
+    if named is None:
+        return selected
+    if type(named) is not list:
+        raise FormatError(f"{path}: \"selected_ids\" must be null or a list of pool ids")
+    for j, (i, name) in enumerate(zip(selected, named)):
+        if name != ids[i]:
+            raise FormatError(f"{path}: selected_ids[{j}] is {json.dumps(name)}, but the pool's id "
+                              f"at selected[{j}] = {i} is {json.dumps(ids[i])}")
+    if len(named) != len(selected):
+        raise FormatError(f"{path}: {len(named)} selected_ids for {len(selected)} selected")
     return selected
 
 
@@ -264,7 +306,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_retrieve(args) -> int:
     pool = load_embeddings(args.input, args.format)
-    selected = _load_selection(args.selection, pool.n)
+    selected = _load_selection(args.selection, pool.ids)
     tests = load_embeddings(args.tests, args.tests_format or args.format)
     if args.mode == "similar":
         plan = retrieve_similar(pool, selected, tests, args.m, order=args.order)

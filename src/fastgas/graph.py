@@ -7,6 +7,7 @@ and the coarse graphs produced during multilevel partitioning.
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
@@ -22,15 +23,18 @@ from .errors import (
     PartitionMismatch,
 )
 
-# One strip of the kNN screen holds as many float32 similarities as this
-# many rows of n: 16 MB at n = 16k.
-_KNN_STRIP_ROWS = 256
-# Strided partner groups of the kNN screen; one float32 max per vertex and group.
-_KNN_GROUPS = 128
-# Columns of a strip whose column side is handled at once; bounds its temporaries.
-_KNN_COLUMN_CHUNK = 2048
+# Rows per block of the kNN screen; the k-means that orders the rows has
+# about n / _BLOCK_ROWS centres.
+_BLOCK_ROWS = 256
+# Lloyd iterations of that k-means, and its sample: rows per centre.
+_KMEANS_ITERS = 3
+_KMEANS_SAMPLE = 16
+# Columns per strided group whose maximum raises a row's lo in the screen.
+_GROUP_COLUMNS = 16
+# Rows of a strip compared with their thresholds at once.
+_FILTER_ROWS = 64
 # Float64 elements per operand in one chunk of the kNN re-rank.
-_RERANK_CHUNK = 1 << 16
+_RERANK_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -137,44 +141,48 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
     vice versa. Similarity is the float64 dot product of the rows normalized
     in float64, and ties go to the lower index.
 
-    The search is exact, and a float32 GEMM computes each similarity once.
-    For unit rows a float32 similarity s32 lies within eps/2 = (d+4)·2⁻²⁴/(1-d·2⁻²⁴)
-    of the float64 one s64 (the dot-product bound γ_d of Higham, Accuracy and
-    Stability of Numerical Algorithms, §3.1, plus the rounding of the rows).
-    The screen covers the upper triangle of U·Uᵀ in strips, rows [a, a+b)
-    against the columns [a, n), each strip at most `_KNN_STRIP_ROWS`·n
-    similarities. A table keeps, for each vertex v and each of
-    `_KNN_GROUPS` strided groups r, the largest similarity of v to a partner
-    i ≡ r screened so far. Each strip serves both ends of its pairs:
+    The search is exact. For unit rows a float32 similarity s32 lies within
+    eps/2 = (d+4)·2⁻²⁴/(1-d·2⁻²⁴) of the float64 one s64 (the dot-product
+    bound γ_d of Higham, Accuracy and Stability of Numerical Algorithms,
+    §3.1, plus the rounding of the rows); the same holds for a row and any
+    unit vector rounded to float32.
 
-    - Row side. The strip's columns fold onto its rows' table. A strip row
-      has now met every partner: the strip's columns here, the earlier
-      vertices as a column of earlier strips. So its threshold lo is final:
-      the k-th largest of its table minus eps. Those k maxima belong to k
-      distinct partners, so the float64 k-th similarity is at least that
-      group max - eps/2, and every column of the float64 top k, ties
-      included, has s32 >= lo. The row keeps the strip's columns at or
-      above lo.
-    - Column side. A vertex v past the strip meets the strip's rows as
-      columns, which fold onto v's table. v keeps the rows at or above a
-      provisional threshold: the k-th largest of its table so far minus
-      eps, refreshed after 1, 2, 4, 8, ... strips. The table only grows, so
-      that threshold never exceeds v's final lo and the kept rows are a
-      superset of those at or above lo. A last filter against lo drops the
-      rest.
+    Thresholds. Each vertex v keeps a threshold lo[v]: the k-th largest s32
+    of v to k different partners it has been compared with, minus eps,
+    rounded down to float32; lo only rises. Those k partners have s64 at
+    least lo + eps/2, so every partner in the float64 top k, ties included,
+    has s32 >= lo[v], whichever product computed it: a pair below lo[v] at
+    any time can be dropped from v's side.
 
-    Thresholds are rounded down to float32, which only adds candidates and
-    keeps float64 temporaries out of the comparisons with float32 strips.
+    Screen. `_block_order` orders the rows by a cheap k-means and cuts them
+    into blocks. Each block is first compared with itself, widened to its
+    nearest blocks when it has k rows or fewer; that sets its rows' lo and
+    keeps its own pairs at or above them. For two blocks A and B, let α be
+    the smallest angle of a row of A to B's unit centre ĉ and θ the largest
+    of a row of B to ĉ, both from float32 products padded by eps/2. By the
+    triangle inequality every pair of A × B has s64 <= cos(max(0, α - θ)),
+    and the bound is the smaller of that and its mirror through A's centre.
+    A pair of blocks whose bound + eps/2 lies below the lo of all their rows
+    holds no pair at or above either end's lo and is skipped. The screen
+    then takes the blocks from the last: block A's rows against the kept
+    blocks to its right, in one product. Before its pairs are filtered, each
+    row's lo rises with its maxima over strided groups of these columns and
+    each column's with its maximum over these rows (partners that its lo
+    has not yet counted), and a pair is kept for each end whose lo it
+    reaches. Going from the last block, a column's lo has already risen
+    with its own strip. A last filter drops the pairs below the final lo.
 
-    So each vertex's candidates are exactly its columns with s32 >= lo. Let K
-    be its k-th largest s32. Fewer than k columns have s32 > K and at least k
-    have s32 >= K, so the float64 k-th similarity lies within eps/2 of K. A
-    candidate above K + eps therefore has s64 above that value and is in the
-    top k; one below K - eps is out. Only the band in between is re-ranked in
-    float64 by (-s64, index), and a vertex whose band holds just the members
-    it still needs takes them all. The result is the exact float64 top k, so
-    neither the strip sizes nor `threads`, which splits each strip's columns
-    across workers, can change it.
+    So each vertex's candidates are exactly its partners with s32 >= its
+    final lo, the float64 top k among them. Let K be its k-th largest
+    candidate s32, which is then its k-th largest s32 over all partners.
+    Fewer than k partners have s32 > K and at least k have s32 >= K, so the
+    float64 k-th similarity lies within eps/2 of K. A candidate above
+    K + eps therefore has s64 above that value and is in the top k; one
+    below K - eps is out. Only the band in between is re-ranked in float64
+    by (-s64, index), and a vertex whose band holds just the members it
+    still needs takes them all. The result is the exact float64 top k, so
+    neither the k-means, the block size nor `threads`, which deals the
+    blocks to workers, can change it.
     """
     n, d = emb.n, emb.dim
     if k < 1 or k >= n:
@@ -182,19 +190,26 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
     vecs = emb.vectors
     chunk = max(1, _RERANK_CHUNK // d)
     norms = np.empty(n)
-    unit32 = np.empty((n, d), dtype=np.float32)
     for start in range(0, n, chunk):
         rows = slice(start, start + chunk)
         norms[rows] = np.linalg.norm(vecs[rows].astype(np.float64), axis=1)
-        unit32[rows] = np.divide(vecs[rows], norms[rows, None])
+    perm, starts = _block_order(vecs)
+    unit32 = np.empty((n, d), dtype=np.float32)
+    for start in range(0, n, chunk):
+        rows = perm[start:start + chunk]
+        unit32[start:start + chunk] = np.divide(vecs[rows], norms[rows, None])
 
     # eps is twice (d+4)·u/(1-d·u), which bounds |float32 - float64 similarity|
     # of unit rows while d·u < 1/2: γ_d for the float32 dot product, 2·u for
     # rounding the rows to float32, and slack for the second-order terms.
     u = 2.0**-24
     eps = 2 * (d + 4) * u / (1 - d * u)
-    v, c, sim = _knn_screen(unit32, k, eps, threads)
+    found = _knn_screen(unit32, starts, k, eps, threads)
     del unit32
+    v, c, sim = (np.concatenate(x) for x in zip(*found))
+    del found
+    perm = perm.astype(np.int32)
+    v, c = perm[v], perm[c]
 
     # K, each vertex's k-th largest float32 similarity, from one argsort of
     # uint64 keys ordered as (vertex, -similarity)
@@ -210,10 +225,15 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
     bv, bc = v[band], c[band]
     rerank = np.bincount(bv, minlength=n)[bv] > need[bv]
     rv, rc = bv[rerank], bc[rerank]
+    order = np.argsort(rv, kind="stable")
+    rv, rc = rv[order], rc[order]
+    # a chunk normalizes each of its vertices' rows once, for all their pairs
     s64 = np.empty(len(rv))
     for i in range(0, len(rv), chunk):
         j = slice(i, i + chunk)
-        s64[j] = np.einsum("ij,ij->i", np.divide(vecs[rv[j]], norms[rv[j], None]),
+        first = np.flatnonzero(np.diff(rv[j], prepend=-1))
+        query = np.divide(vecs[rv[j][first]], norms[rv[j][first], None])
+        s64[j] = np.einsum("ij,ij->i", np.repeat(query, np.diff(first, append=len(rv[j])), axis=0),
                            np.divide(vecs[rc[j]], norms[rc[j], None]))
     order = np.lexsort((rc, -s64, rv))
     rv, rc = rv[order], rc[order]
@@ -227,97 +247,187 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
     return graph_from_edges(n, edges, k=k)
 
 
-def _knn_screen(unit32: np.ndarray, k: int, eps: float, threads: int):
-    """The float32 screen of `build_knn_graph`: int32 vertices, int32 columns
-    and the float32 similarities of every pair with s32 >= the vertex's lo."""
-    n = len(unit32)
-    # table[r, v] is the largest similarity of v to a partner i screened so
-    # far with i % g == r
-    g = min(n, max(_KNN_GROUPS, k + 1))
-    table = np.full((g, n), -np.inf, dtype=np.float32)
-    prov = np.full(n, -np.inf, dtype=np.float32)  # provisional thresholds
-    lo = np.empty(n, dtype=np.float32)
+def _block_order(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row order of the kNN screen and the starts of its blocks, n last.
 
-    def floor_kth(t: np.ndarray) -> np.ndarray:
-        """Per column of t: its k-th largest value minus eps, rounded down to float32."""
-        t = t.T.copy()
-        t.partition(g - k, axis=1)
-        x = t[:, -k].astype(np.float64) - eps
-        y = x.astype(np.float32)
-        return np.where(y > x, np.nextafter(y, np.float32(-np.inf)), y)
+    A few Lloyd iterations of spherical k-means with about n/(2·`_BLOCK_ROWS`)
+    centres, fitted on a fixed random sample of the rows from farthest-point
+    seeds, group the rows; each cluster is cut into blocks of
+    `_BLOCK_ROWS` rows and one of the rest. Any order gives the same graph."""
+    n = len(vecs)
+    m = -(-n // (2 * _BLOCK_ROWS))  # clusters of about two blocks
+    x = vecs[np.sort(np.random.default_rng(0).choice(n, min(n, _KMEANS_SAMPLE * m), replace=False))]
+    x = x.astype(np.float64) / np.linalg.norm(x.astype(np.float64), axis=1)[:, None]
+    # farthest-point seeds: each next seed is the row least similar to its
+    # nearest seed so far, so separated groups all get one
+    seeds = [0]
+    closest = x @ x[0]
+    for _ in range(m - 1):
+        seeds.append(int(np.argmin(closest)))
+        np.maximum(closest, x @ x[seeds[-1]], out=closest)
+    centres = x[seeds]
+    for _ in range(_KMEANS_ITERS):
+        member = np.zeros((m, len(x)))
+        member[np.argmax(x @ centres.T, axis=1), np.arange(len(x))] = 1
+        sums = member @ x
+        norm = np.linalg.norm(sums, axis=1)
+        # an empty cluster, or one whose rows cancel, keeps its centre
+        centres[norm > 0] = sums[norm > 0] / norm[norm > 0, None]
+    # the nearest centre of a row does not depend on the row's length; a
+    # product that overflows float32 only moves the row to another block
+    with np.errstate(over="ignore", invalid="ignore"):
+        labels = np.argmax(vecs @ centres.astype(np.float32).T, axis=1)
+    sizes = np.bincount(labels, minlength=m)
+    cuts = np.concatenate([np.arange(end - size, end, _BLOCK_ROWS)
+                           for size, end in zip(sizes, np.cumsum(sizes)) if size])
+    return np.argsort(labels, kind="stable"), np.append(cuts, n)
 
-    # a strip is b rows by ceil((n-a)/g)·g columns, at most _KNN_STRIP_ROWS·n
-    # similarities; b is below g or a multiple of it, so its rows fold onto the table
-    strips, a = [], 0
-    while a < n:
-        b = max(1, _KNN_STRIP_ROWS * n // (g * -(-(n - a) // g)))
-        b = min(b - b % g if b >= g else b, n - a)
-        strips.append((a, b))
-        a += b
-    buf = np.empty(max(b * g * -(-(n - a) // g) for a, b in strips), dtype=np.float32)
 
-    def screen(a: int, b: int, s: np.ndarray, c0: int, c1: int, refresh: bool):
-        """GEMM of the strip's columns [c0, c1) (relative to a) and the
-        column side of those past the strip; returns its candidates."""
-        hi = min(c1, n - a)
-        if c0 < hi:
-            np.matmul(unit32[a:a + b], unit32[a + c0:a + hi].T, out=s[:, c0:hi])
-        s[:, max(c0, hi):c1] = -np.inf
-        diag = np.arange(c0, min(c1, b))
-        s[diag, diag] = -np.inf
+def _floor32(x: np.ndarray) -> np.ndarray:
+    """float64 `x` rounded down to float32."""
+    y = x.astype(np.float32)
+    return np.where(y > x, np.nextafter(y, np.float32(-np.inf)), y)
 
-        h = min(b, g)  # row a+i goes to group (a+i) % g
-        grp = slice(None) if h == g and a % g == 0 else (a + np.arange(h)) % g
-        found = []
-        for j0 in range(max(c0, b), hi, _KNN_COLUMN_CHUNK):
-            j1 = min(j0 + _KNN_COLUMN_CHUNK, hi)
-            cols = slice(a + j0, a + j1)
-            part = s[:, j0:j1].reshape(b // h, h, j1 - j0)
-            fold = part.max(axis=0) if b > h else part[0]
-            table[grp, cols] = np.maximum(table[grp, cols], fold)
-            if refresh:
-                prov[cols] = floor_kth(table[:, cols])
-            th = prov[cols]
-            hit_r, hit_j = np.divmod(np.flatnonzero(fold >= th), j1 - j0)
-            vals = part[:, hit_r, hit_j]
-            p, i = np.divmod(np.flatnonzero(vals >= th[hit_j]), len(hit_j))
-            found.append(((a + j0 + hit_j[i]).astype(np.int32),
-                          (a + p * h + hit_r[i]).astype(np.int32), vals[p, i]))
-        return found
 
-    ex = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    found, provisional = [], []
-    try:
-        for strip, (a, b) in enumerate(strips):
-            steps = -(-(n - a) // g)
-            s = buf[: b * steps * g].reshape(b, steps * g)
-            refresh = strip & (strip + 1) == 0  # after 1, 2, 4, 8, ... strips
-            cuts = [g * (steps * t // threads) for t in range(threads + 1)]
-            args = [(a, b, s, c0, c1, refresh) for c0, c1 in zip(cuts, cuts[1:]) if c0 < c1]
-            for cands in ex.map(lambda x: screen(*x), args) if ex else [screen(*x) for x in args]:
-                provisional += cands
-            if refresh:
-                provisional = [(v[keep], r[keep], sim[keep])
-                               for v, r, sim in provisional for keep in [sim >= prov[v]]]
+def _knn_screen(unit32: np.ndarray, starts: np.ndarray, k: int, eps: float, threads: int) -> list:
+    """The float32 screen of `build_knn_graph` over the blocks [starts[i],
+    starts[i+1]) of the rows: pieces of int32 vertices, int32 partners and
+    float32 similarities, among them every pair with s32 >= the vertex's lo."""
+    nb = len(starts) - 1
+    sizes = np.diff(starts)
 
-            # row side: the strip's columns fold onto its rows' table, which
-            # then covers every partner, so their thresholds are final
-            groups = s.reshape(b, steps, g)
-            gmax = groups.max(axis=1)  # column a+j goes to group (a+j) % g
-            rows = slice(a, a + b)
-            grp = (a + np.arange(g)) % g
-            table[grp, rows] = np.maximum(table[grp, rows], gmax.T)
-            lo[rows] = floor_kth(table[:, rows])
-            hit_rows, hit_groups = np.divmod(np.flatnonzero(gmax >= lo[rows, None]), g)
-            vals = groups[hit_rows, :, hit_groups]
-            pair, step = np.divmod(np.flatnonzero(vals >= lo[a + hit_rows, None]), steps)
-            found.append(((a + hit_rows[pair]).astype(np.int32),
-                          (a + hit_groups[pair] + g * step).astype(np.int32), vals[pair, step]))
-    finally:
-        if ex:
-            ex.shutdown()
-    found += [(v[keep], r[keep], sim[keep]) for v, r, sim in provisional for keep in [sim >= lo[v]]]
-    return tuple(np.concatenate(x) for x in zip(*found))
+    # a block's centre is its normalized row sum, or its first row if that is 0
+    cent = np.array([unit32[starts[a]:starts[a + 1]].sum(axis=0, dtype=np.float64)
+                     for a in range(nb)])
+    zero = np.linalg.norm(cent, axis=1) == 0
+    cent[zero] = unit32[starts[:-1][zero]]
+    cent = (cent / np.linalg.norm(cent, axis=1)[:, None]).astype(np.float32)
+    # near[a, b]: the largest s32 of a row of block a to the centre of b;
+    # far[b]: the smallest of a row of b to its own centre
+    near = np.empty((nb, nb), dtype=np.float32)
+    far = np.empty(nb, dtype=np.float32)
+    for a in range(nb):
+        g = unit32[starts[a]:starts[a + 1]] @ cent.T
+        near[a], far[a] = g.max(axis=0), g[:, a].min()
+    # the angles to a centre, within eps/2 of their s32, bound every float64
+    # similarity between two blocks through the triangle inequality
+    alpha = np.arccos(np.clip(near.astype(np.float64) + eps / 2, -1, 1))
+    theta = np.arccos(np.clip(far.astype(np.float64) - eps / 2, -1, 1))
+    bound = np.cos(np.maximum(alpha - theta, 0))
+    bound = np.minimum(bound, bound.T)
+
+    # top[:, v]: the k largest s32 of v seen so far, each to a different
+    # partner; lo[v] never falls below their smallest minus eps, rounded down
+    top = np.empty((k, len(unit32)), dtype=np.float32)
+    lo = np.empty(len(unit32), dtype=np.float32)
+    lo_min = np.empty(nb, dtype=np.float32)
+    lock = threading.Lock()
+
+    def spans(blocks: np.ndarray) -> list:
+        """The row ranges of the runs of consecutive blocks in `blocks`."""
+        cut = np.flatnonzero(np.diff(blocks) != 1) + 1
+        return list(zip(starts[blocks[np.r_[0, cut]]], starts[blocks[np.r_[cut, len(blocks)] - 1] + 1]))
+
+    def gemm(a: int, ranges: list, buf: np.ndarray, group: int = 1) -> np.ndarray:
+        """Similarities of block a's rows to the rows in `ranges`, in `buf`,
+        one product per range; -inf pads the columns to a multiple of `group`."""
+        rows = unit32[starts[a]:starts[a + 1]]
+        width = sum(end - first for first, end in ranges)
+        s = buf[: len(rows) * -(-width // group) * group].reshape(len(rows), -1)
+        s[:, width:] = -np.inf
+        off = 0
+        for first, end in ranges:
+            np.matmul(rows, unit32[first:end].T, out=s[:, off:off + end - first])
+            off += end - first
+        return s
+
+    def thresholds(a: int, buf: np.ndarray):
+        """top and lo of block a's rows from the block, widened to its
+        nearest blocks if it has k rows or fewer, and the block's own pairs
+        at or above their row's lo."""
+        nearest = np.argsort(-bound[a], kind="stable")
+        nearest = np.concatenate([[a], nearest[nearest != a]])
+        s = gemm(a, spans(nearest[: np.searchsorted(np.cumsum(sizes[nearest]), k + 1) + 1]), buf)
+        b, w = sizes[a], s.shape[1]
+        s[np.arange(b), np.arange(b)] = -np.inf
+        rows = slice(starts[a], starts[a + 1])
+        largest = np.partition(s, w - k, axis=1)[:, w - k:]
+        lo[rows] = _floor32(largest[:, 0].astype(np.float64) - eps)
+        # the screen meets the nearest blocks again, so top takes the block's own pairs only
+        top[:, rows] = largest.T if w == b else -np.inf
+        r, j = np.divmod(np.flatnonzero(s[:, :b] >= lo[rows, None]), b)
+        return (starts[a] + r).astype(np.int32), (starts[a] + j).astype(np.int32), s[r, j]
+
+    def screen(a: int, buf: np.ndarray):
+        """Block a's rows against the blocks to their right that the bound
+        keeps, and the pairs at or above the lo of either end. Before the
+        pairs are kept, each row's top takes in its maxima over strided
+        groups of `_GROUP_COLUMNS` of these columns, and each column's its
+        maximum over these rows."""
+        rows = slice(starts[a], starts[a + 1])
+        blocks = a + 1 + np.flatnonzero(bound[a, a + 1:] + eps / 2
+                                        >= np.minimum(lo_min[a], lo_min[a + 1:]))
+        if not len(blocks):
+            return ()
+        ranges = spans(blocks)
+        s = gemm(a, ranges, buf, _GROUP_COLUMNS)
+        # column j goes to group j % groups
+        groups = s.shape[1] // _GROUP_COLUMNS
+        gmax = s.reshape(len(s), _GROUP_COLUMNS, groups).max(axis=1)
+        cols = np.concatenate([np.arange(first, end, dtype=np.int32) for first, end in ranges])
+        s = s[:, :len(cols)]
+        cmax = s.max(axis=0)
+        with lock:
+            row_top = np.partition(np.concatenate([top[:, rows].T, gmax], axis=1), groups, axis=1)
+            top[:, rows] = row_top[:, groups:].T
+            lo[rows] = np.maximum(lo[rows], _floor32(row_top[:, groups].astype(np.float64) - eps))
+            off = 0
+            for first, end in ranges:
+                col_top, new = top[:, first:end], cmax[off:off + end - first]
+                low = col_top.argmin(axis=0)
+                up = np.flatnonzero(new > col_top[low, np.arange(end - first)])
+                col_top[low[up], up] = new[up]
+                lo[first:end] = np.maximum(lo[first:end],
+                                           _floor32(col_top.min(axis=0).astype(np.float64) - eps))
+                off += end - first
+            lo_r, lo_c = lo[rows].copy(), lo[cols]
+            lo_min[a] = lo_r.min()
+            lo_min[blocks] = np.minimum.reduceat(lo_c, np.cumsum(sizes[blocks]) - sizes[blocks])
+        # rows in slices of _FILTER_ROWS bound the comparisons' temporaries
+        hit = np.concatenate([np.flatnonzero((s[i:i + _FILTER_ROWS] >= lo_r[i:i + _FILTER_ROWS, None])
+                                             | (s[i:i + _FILTER_ROWS] >= lo_c)) + i * len(cols)
+                              for i in range(0, len(s), _FILTER_ROWS)])
+        r, j = np.divmod(hit, len(cols))
+        val = s[r, j]
+        row_side, col_side = val >= lo_r[r], val >= lo_c[j]
+        r = (starts[a] + r).astype(np.int32)
+        return (np.concatenate([r[row_side], cols[j[col_side]]]),
+                np.concatenate([cols[j[row_side]], r[col_side]]),
+                np.concatenate([val[row_side], val[col_side]]))
+
+    workers = min(threads, nb)
+
+    def run(stage, width: int) -> list:
+        """stage(a, buf) for every block a from the last, the blocks dealt
+        round-robin to the workers, each reusing one buffer of `width`
+        columns, so that strips of growing size do not fragment the heap."""
+        def work(t: int):
+            buf = np.empty(sizes.max() * width, dtype=np.float32)
+            return [stage(a, buf) for a in range(nb - 1 - t, -1, -workers)]
+        if workers == 1:
+            per_worker = [work(0)]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as ex:
+                per_worker = list(ex.map(work, range(workers)))
+        return [x for w in per_worker for x in w if len(x)]
+
+    found = run(thresholds, min(len(unit32), k + 1 + sizes.max()))
+    lo_min[:] = np.minimum.reduceat(lo, starts[:-1])
+    found += run(screen, len(unit32) + _GROUP_COLUMNS)
+    for i, (v, c, sim) in enumerate(found):
+        keep = sim >= lo[v]
+        found[i] = v[keep], c[keep], sim[keep]
+    return found
 
 
 def induced_subgraph(g: SimilarityGraph, vertices) -> tuple[SimilarityGraph, np.ndarray]:
@@ -358,10 +468,12 @@ def edge_cut(g: SimilarityGraph, assignment) -> int:
 
 
 def graph_to_dict(g: SimilarityGraph) -> dict:
+    """The graph's JSON document. `edges` is the (E, 3) int64 `edge_list()`,
+    which `cli._write_json` writes as a list of [u, v, weight] rows."""
     return {
         "num_vertices": g.num_vertices,
         "k": g.k,
-        "edges": g.edge_list().tolist(),
+        "edges": g.edge_list(),
         "vertex_weights": g.vertex_weights.tolist(),
     }
 

@@ -2,13 +2,16 @@ import contextlib
 import io
 import json
 import re
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fastgas import cli
 from fastgas.cli import _write_json, main
-from fastgas.embeddings import generate_synthetic, save_embeddings
+from fastgas.embeddings import EmbeddingMatrix, generate_synthetic, save_embeddings
 
 
 @pytest.fixture
@@ -228,6 +231,21 @@ def test_write_json_matches_json_dumps(obj):
     assert buf.getvalue() == json.dumps(obj, indent=2) + "\n"
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda w: st.tuples(st.just(w), st.lists(
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=w, max_size=w), max_size=9))),
+    st.integers(1, 4))
+def test_write_json_writes_int_arrays_as_lists(shape, chunk):
+    """An int64 array such as the graph's edges is written as the list of
+    its rows, however its rows fall into chunks."""
+    width, rows = shape
+    array = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), mock.patch.object(cli, "_ENCODE_ROWS", chunk):
+        _write_json(None, {"edges": array, "n": [array]})
+    assert buf.getvalue() == json.dumps({"edges": rows, "n": [rows]}, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("timings", [[], ["--no-timings"]])
 def test_build_graph_output_is_indented_json(workspace, timings):
     tmp, pool, _ = workspace
@@ -360,6 +378,41 @@ def test_bad_selection_file_exits_1(built, capsys, doc, mode):
     assert "bad-sel.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, words", [
+    ("another pool", 'selected_ids[0] is "syn-'),
+    ("renamed", 'selected_ids[2] is "elsewhere", but the pool\'s id at selected[2]'),
+    ("shorter", "5 selected_ids for 6 selected"),
+    ("string", '"selected_ids" must be null or a list of pool ids'),
+])
+def test_selection_from_another_pool_exits_1(built, capsys, change, words):
+    """`retrieve` checks a selection's selected_ids against the pool: a
+    selection made on another pool of the same size is refused and the
+    first mismatch named."""
+    tmp, pool, tests = built
+    sel = tmp / "named.json"
+    assert main(["select", "--input", str(tmp / "g.json"), "--method", "random", "--budget", "6",
+                 "--embeddings", str(pool), "-o", str(sel)]) == 0
+    argv = ["retrieve", "--input", str(pool), "--tests", str(tests), "--tests-format", "binary",
+            "--selection", str(sel), "-o", str(tmp / "r.json")]
+    assert main(argv) == 0
+    doc = json.loads(sel.read_text())
+    if change == "another pool":
+        # the same vectors under other ids, in the reverse order
+        other = generate_synthetic(120, 8, 4, 0.1, seed=1)
+        other = EmbeddingMatrix(ids=[f"x{i}" for i in range(120)][::-1], vectors=other.vectors[::-1])
+        save_embeddings(other, str(tmp / "other.jsonl"), "jsonl")
+        argv[2] = str(tmp / "other.jsonl")
+    elif change == "renamed":
+        doc["selected_ids"][2] = "elsewhere"
+    elif change == "shorter":
+        doc["selected_ids"].pop()
+    else:
+        doc["selected_ids"] = "syn-0"
+    sel.write_text(json.dumps(doc))
+    assert main(argv) == 1
+    assert words in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args, words", [
     (["select", "--method", "pagerank", "--max-iters", "0"], "max_iters must be at least 1"),
     (["select", "--method", "pagerank", "--max-iters", "1"], "pagerank L1 change"),
@@ -453,10 +506,14 @@ def fuzz_inputs(tmp_path_factory):
     pool = generate_synthetic(30, 4, 3, 0.2, seed=5)
     save_embeddings(pool, str(tmp / "pool.jsonl"), "jsonl")
     save_embeddings(pool, str(tmp / "pool.bin"), "binary")
+    save_embeddings(generate_synthetic(5, 4, 2, 0.2, seed=6), str(tmp / "tests.jsonl"), "jsonl")
     assert main(["build-graph", "--input", str(tmp / "pool.jsonl"), "--k", "3", "--no-timings",
                  "-o", str(tmp / "g.json")]) == 0
+    assert main(["select", "--input", str(tmp / "g.json"), "--K", "3", "--budget", "4",
+                 "--embeddings", str(tmp / "pool.jsonl"), "--no-timings", "-o", str(tmp / "s.json")]) == 0
     return tmp, {kind: (tmp / name).read_bytes()
-                 for kind, name in (("jsonl", "pool.jsonl"), ("binary", "pool.bin"), ("graph", "g.json"))}
+                 for kind, name in (("jsonl", "pool.jsonl"), ("binary", "pool.bin"), ("graph", "g.json"),
+                                    ("selection", "s.json"), ("tests", "tests.jsonl"))}
 
 
 _numbers_re = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
@@ -491,11 +548,20 @@ def _mutations(draw, data: bytes):
     return data
 
 
+# per kind of mutated file: the flag that takes it, and the argvs to run;
+# "{tmp}" stands for the directory of the unmutated files
+_retrieve = ["retrieve", "--input", "{tmp}/pool.jsonl"]
 _fuzz_argvs = {
-    "jsonl": [["build-graph", "--k", "3"], ["select", "--method", "subcluster", "--K", "3", "--budget", "4"]],
-    "binary": [["build-graph", "--k", "3", "--format", "binary"]],
-    "graph": [["select", "--method", method, "--K", "3", "--budget", "4"]
-              for method in ("fastgas", "random", "top-degree", "pagerank")] + [["partition", "--K", "3"]],
+    "jsonl": ("--input", [["build-graph", "--k", "3"],
+                          ["select", "--method", "subcluster", "--K", "3", "--budget", "4"]]),
+    "binary": ("--input", [["build-graph", "--k", "3", "--format", "binary"]]),
+    "graph": ("--input", [["select", "--method", method, "--K", "3", "--budget", "4"]
+                          for method in ("fastgas", "random", "top-degree", "pagerank")]
+              + [["partition", "--K", "3"]]),
+    "selection": ("--selection", [[*_retrieve, "--tests", "{tmp}/tests.jsonl", "--mode", mode]
+                                  for mode in ("similar", "random")]),
+    "tests": ("--tests", [[*_retrieve, "--selection", "{tmp}/s.json", "--mode", mode]
+                          for mode in ("similar", "random")]),
 }
 
 
@@ -505,9 +571,11 @@ def test_mutated_input_files_never_traceback(fuzz_inputs, data, kind):
     tmp, originals = fuzz_inputs
     path = tmp / f"mutated.{kind}"
     path.write_bytes(data.draw(_mutations(originals[kind])))
-    for argv in _fuzz_argvs[kind]:
+    flag, argvs = _fuzz_argvs[kind]
+    for argv in argvs:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            rc = main([*argv, "--input", str(path), "-o", str(tmp / "out.json")])
+            argv = [a.format(tmp=tmp) for a in argv]
+            rc = main([*argv, flag, str(path), "-o", str(tmp / "out.json")])
         assert rc in (0, 1, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()

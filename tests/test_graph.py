@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import sys
@@ -14,7 +15,6 @@ from fastgas import graph
 from fastgas.embeddings import EmbeddingMatrix, cosine_similarity, generate_synthetic
 from fastgas.errors import EmptyVertexSet, FormatError, IndexOutOfRange, InvalidK, PartitionMismatch
 from fastgas.graph import (
-    _KNN_GROUPS,
     build_knn_graph,
     edge_cut,
     graph_from_dict,
@@ -63,19 +63,34 @@ def per_row_knn_oracle(emb, k):
     return {(min(u, v), max(u, v)) for u, v in zip(src, nbrs.reshape(-1).tolist())}
 
 
-def knn_edges(emb, k, threads=1, strip_rows=None):
-    """The kNN edge set; `strip_rows` overrides the strip budget, so that a
-    small pool spans several strips."""
-    budget = graph._KNN_STRIP_ROWS if strip_rows is None else strip_rows
-    with mock.patch.object(graph, "_KNN_STRIP_ROWS", budget):
+def knn_edges(emb, k, threads=1, block_rows=None):
+    """The kNN edge set; `block_rows` overrides the block size, so that a
+    small pool spans several blocks."""
+    rows = graph._BLOCK_ROWS if block_rows is None else block_rows
+    with mock.patch.object(graph, "_BLOCK_ROWS", rows):
         g = build_knn_graph(emb, k, threads=threads)
     return {tuple(e[:2]) for e in g.edge_list().tolist()}
 
 
-def small_strips(n):
-    """A strip budget that gives an n-row pool (n <= _KNN_GROUPS) four or more
-    strips: a strip row then spans n columns."""
+def small_blocks(n):
+    """A block size that cuts an n-row pool into four or more blocks."""
     return max(1, n // 4)
+
+
+@contextlib.contextmanager
+def counted_similarities():
+    """Counts the similarities the kNN screen computes: every product it
+    writes into a buffer through `np.matmul(..., out=...)`."""
+    count = [0]
+    matmul = np.matmul
+
+    def counting(a, b, out=None):
+        if out is not None:
+            count[0] += out.size
+        return matmul(a, b, out=out)
+
+    with mock.patch.object(graph.np, "matmul", counting):
+        yield count
 
 
 def as_emb(x):
@@ -111,9 +126,9 @@ class TestKnnExactness:
         emb, k = case
         expected = per_row_knn_oracle(emb, k)
         assert knn_edges(emb, k) == expected
-        # several strips: the column side, its threshold refreshes and the
+        # several blocks: the bound, the screen's raised thresholds and the
         # final filter all take part
-        assert knn_edges(emb, k, strip_rows=small_strips(emb.n)) == expected
+        assert knn_edges(emb, k, block_rows=small_blocks(emb.n)) == expected
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(3, 14), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -125,7 +140,7 @@ class TestKnnExactness:
         for k in (1, n // 2, n - 1):
             expected = brute_force_knn_edges(emb, k)
             assert knn_edges(emb, k) == expected
-            assert knn_edges(emb, k, strip_rows=small_strips(n)) == expected
+            assert knn_edges(emb, k, block_rows=small_blocks(n)) == expected
 
     def test_duplicates_tie_to_the_lower_index(self):
         x = np.random.default_rng(3).normal(size=(60, 8)).astype(np.float32)
@@ -150,7 +165,7 @@ class TestKnnExactness:
         for k in (1, 2, 7):
             assert knn_edges(emb, k) == per_row_knn_oracle(emb, k)
 
-    @pytest.mark.parametrize("n, d", [(40, 40), (300, 300), (4 * _KNN_GROUPS + 77, 64)])
+    @pytest.mark.parametrize("n, d", [(40, 40), (300, 300), (589, 64)])
     def test_one_hot_rows_all_tie(self, n, d):
         # row i is the unit vector on axis i mod d: similarities are 1 on the
         # same axis and 0 elsewhere, and each tie goes to the lower index
@@ -162,8 +177,7 @@ class TestKnnExactness:
             expected |= {(min(u, v), max(u, v)) for v in ranked[:k]}
         assert knn_edges(emb, k) == expected
 
-    @pytest.mark.parametrize("n, d", [(300, 2), (4 * _KNN_GROUPS, 1), (8 * _KNN_GROUPS + 77, 64),
-                                      (600, 768), (130, 1536)])
+    @pytest.mark.parametrize("n, d", [(300, 2), (512, 1), (1101, 64), (600, 768), (130, 1536)])
     def test_group_shapes_and_dimensions(self, n, d):
         x = np.random.default_rng(n + d).normal(size=(n, d)).astype(np.float32)
         x[1::7] = x[::7][: len(x[1::7])]
@@ -173,30 +187,29 @@ class TestKnnExactness:
 
     @pytest.mark.parametrize("rows", [1, 100, 128, 300])
     def test_strips_of_any_height(self, rows):
-        # 700 rows span 768 columns (six groups of 128) at first, so a budget
-        # of ceil(rows·768/700) rows of 700 gives a first strip of one row,
-        # fewer rows than the table's 128 groups, exactly 128, or 300 rounded
-        # down to 256; column chunks of 100 and three workers split it
+        # a strip is one block's rows against the blocks to their right:
+        # blocks of one row (each has k rows or fewer, so its thresholds
+        # widen to the nearest blocks), of 100, of 128, and of 300 rows,
+        # more than the pool's k-means clusters hold; one and three workers
         x = np.random.default_rng(rows).normal(size=(700, 16)).astype(np.float32)
         x[3::11] = x[::11][: len(x[3::11])]
         emb = as_emb(x)
-        with mock.patch.object(graph, "_KNN_COLUMN_CHUNK", 100):
-            for k in (1, 10):
-                expected = per_row_knn_oracle(emb, k)
-                for threads in (1, 3):
-                    assert knn_edges(emb, k, threads, strip_rows=-(-rows * 768 // 700)) == expected
+        for k in (1, 10):
+            expected = per_row_knn_oracle(emb, k)
+            for threads in (1, 3):
+                assert knn_edges(emb, k, threads, block_rows=rows) == expected
 
     def test_many_workers_on_a_short_switch_interval(self):
-        # the workers write disjoint columns of shared arrays: a lost or
-        # crossed write would change the graph
+        # the workers share the tops and thresholds of the vertices: a lost
+        # or crossed update that broke a threshold would change the graph
         x = np.random.default_rng(8).normal(size=(3000, 8)).astype(np.float32)
         emb = as_emb(x)
         expected = per_row_knn_oracle(emb, 5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # 66 rows of 3000 similarities make 64-row strips of 3072 columns
-            assert knn_edges(emb, 5, threads=8, strip_rows=66) == expected
+            # about 60 blocks of up to 64 rows
+            assert knn_edges(emb, 5, threads=8, block_rows=64) == expected
         finally:
             sys.setswitchinterval(interval)
 
@@ -209,10 +222,64 @@ class TestKnnExactness:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the strip, the group table (half a strip) and the column side's
-        # temporaries; a float32 n x n array (16 strips) would not fit
-        strip = 4 * graph._KNN_STRIP_ROWS * n
-        assert peak <= 3 * strip + n * d * 4
+        # a strip holds at most _BLOCK_ROWS rows by n columns plus the
+        # screen's group padding: the strip, the float32 rows, and the
+        # candidates with the filter's temporaries within a second strip; a
+        # float32 n x n array (16 strips) would not fit
+        strip = 4 * graph._BLOCK_ROWS * (n + graph._GROUP_COLUMNS)
+        assert peak <= 2 * strip + n * d * 4
+
+    @pytest.mark.parametrize("threads", [1, 8])
+    def test_separable_pools_skip_block_pairs(self, threads):
+        # eight tight clusters on orthogonal axes: the bound rules out every
+        # block pair across clusters, so well under half of the upper
+        # triangle is computed, and the graph stays exact
+        rng = np.random.default_rng(11)
+        x = np.eye(64, dtype=np.float32)[np.arange(800) % 8] * 3
+        x += rng.normal(0, 0.05, size=x.shape).astype(np.float32)
+        emb = as_emb(x)
+        with counted_similarities() as count:
+            got = knn_edges(emb, 10, threads, block_rows=32)
+        assert count[0] < 0.3 * 800 * 800 / 2
+        assert got == per_row_knn_oracle(emb, 10)
+
+    @pytest.mark.parametrize("threads", [1, 8])
+    def test_isotropic_pools_skip_nothing(self, threads):
+        # no structure: no block pair can be ruled out, so the screen
+        # computes at least the whole upper triangle
+        x = np.random.default_rng(12).normal(size=(600, 32)).astype(np.float32)
+        emb = as_emb(x)
+        with counted_similarities() as count:
+            got = knn_edges(emb, 10, threads, block_rows=32)
+        assert count[0] >= 600 * 599 / 2
+        assert got == per_row_knn_oracle(emb, 10)
+
+    @pytest.mark.parametrize("k", [3, 12, 40])
+    def test_blocks_of_k_rows_or_fewer(self, k):
+        # blocks of 3 rows: each widens its thresholds to its nearest blocks
+        x = np.random.default_rng(k).normal(size=(200, 6)).astype(np.float32)
+        x[::9] = x[1::9][: len(x[::9])]
+        emb = as_emb(x)
+        assert knn_edges(emb, k, block_rows=3) == per_row_knn_oracle(emb, k)
+
+    def test_all_rows_equal(self):
+        # every similarity ties at 1: each vertex takes the k lowest others
+        emb = as_emb(np.tile(np.float32([0.3, -1.2, 2.0]), (150, 1)))
+        k = 7
+        expected = {(min(u, v), max(u, v)) for u in range(150)
+                    for v in [w for w in range(150) if w != u][:k]}
+        for rows in (5, 64):
+            assert knn_edges(emb, k, block_rows=rows) == expected
+
+    def test_antipodal_rows(self):
+        # rows come in pairs x, -x, so a block's rows can sum to about 0
+        # and its centre falls back to a row
+        h = np.random.default_rng(13).normal(size=(150, 5)).astype(np.float32)
+        x = np.empty((300, 5), dtype=np.float32)
+        x[0::2], x[1::2] = h, -h
+        emb = as_emb(x)
+        for rows in (2, 16, 64):
+            assert knn_edges(emb, 6, block_rows=rows) == per_row_knn_oracle(emb, 6)
 
     @pytest.mark.parametrize("n", [7, 600])
     def test_k_equals_n_minus_1_is_complete(self, n):
@@ -223,10 +290,10 @@ class TestKnnExactness:
         x = np.random.default_rng(6).normal(size=(1100, 24)).astype(np.float32)
         x[500:520] = x[0]
         emb = as_emb(x)
-        one = graph_to_dict(build_knn_graph(emb, 10, threads=1))
-        four = graph_to_dict(build_knn_graph(emb, 10, threads=4))
-        assert one == four
-        assert {tuple(e[:2]) for e in one["edges"]} == per_row_knn_oracle(emb, 10)
+        one = build_knn_graph(emb, 10, threads=1).edge_list()
+        four = build_knn_graph(emb, 10, threads=4).edge_list()
+        assert np.array_equal(one, four)
+        assert {tuple(e[:2]) for e in one.tolist()} == per_row_knn_oracle(emb, 10)
 
 
 class TestBuildKnn:
@@ -290,8 +357,8 @@ class TestBuildKnn:
     def test_deterministic_and_thread_count_independent(self):
         emb = generate_synthetic(300, 12, 5, 0.3, seed=8)
         blobs = {
-            json.dumps(graph_to_dict(build_knn_graph(emb, 10, threads=t)), sort_keys=True)
-            for t in (1, 1, 4, 8)
+            json.dumps({**graph_to_dict(g), "edges": g.edge_list().tolist()}, sort_keys=True)
+            for g in (build_knn_graph(emb, 10, threads=t) for t in (1, 1, 4, 8))
         }
         assert len(blobs) == 1
 
