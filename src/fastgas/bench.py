@@ -21,6 +21,9 @@ from .selection import (
 )
 
 GREEDY_GUARANTEE = 1.0 - 1.0 / np.e
+BENCH_CLUSTERS = 10
+BENCH_SPREAD = 0.1
+VERIFY_EDGE_PROBS = (0.2, 0.5, 0.8)
 
 
 def run_bench(
@@ -31,8 +34,6 @@ def run_bench(
     M: int = 100,
     seed: int = 0,
     repeats: int = 1,
-    clusters: int = 10,
-    spread: float = 0.1,
     threads: int = 1,
 ) -> dict:
     """Time the full pipeline and each baseline on synthetic pools of the
@@ -41,7 +42,7 @@ def run_bench(
         raise InvalidParameter("need at least one size and one repeat")
     rows = []
     for n in sizes:
-        emb = generate_synthetic(n, d, min(clusters, n), spread, seed)
+        emb = generate_synthetic(n, d, min(BENCH_CLUSTERS, n), BENCH_SPREAD, seed)
         best: dict[str, float] | None = None
         for _ in range(repeats):
             t0 = time.perf_counter()
@@ -108,7 +109,6 @@ def run_verify(
     max_budget: int = 4,
     instances: int = 500,
     seed: int = 0,
-    edge_probs=(0.2, 0.5, 0.8),
 ) -> dict:
     """Audit greedy selection against the exhaustive coverage oracle.
 
@@ -131,7 +131,7 @@ def run_verify(
     cases = [("p5-fixture", graph_from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]), 2)]
     for i in range(instances):
         n = int(rng.integers(3, max_n + 1))
-        p = edge_probs[int(rng.integers(len(edge_probs)))]
+        p = VERIFY_EDGE_PROBS[int(rng.integers(len(VERIFY_EDGE_PROBS)))]
         budget = int(rng.integers(1, min(max_budget, n) + 1))
         cases.append((f"random-{i}", random_graph(n, p, rng), budget))
 

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -177,14 +176,15 @@ def _json_pieces(obj, level: int):
     list of its rows.
 
     The stdlib skips its C encoder whenever `indent` is set, so lists of
-    ints, of strings and of equal-length int rows (graph edges, selections,
-    plans) are formatted here with `join` and one templated `%` instead.
+    ints and of strings (selections, plans) are formatted here with `join`,
+    and integer arrays a chunk of rows at a time with one templated `%`.
     """
     ind = "\n" + "  " * (level + 1)
     close = "\n" + "  " * level + "]"
     if type(obj) is np.ndarray and obj.ndim == 2 and obj.dtype.kind == "i" and obj.size:
         # a chunk of rows at a time, as one flat list of Python ints
-        row = _row_template(obj.shape[1], ind)
+        inner = ind + "  "
+        row = "[" + inner + ("," + inner).join(["%d"] * obj.shape[1]) + ind + "]"
         for i in range(0, len(obj), _ENCODE_ROWS):
             part = obj[i:i + _ENCODE_ROWS]
             rows = ("," + ind).join([row] * len(part)) % tuple(part.ravel().tolist())
@@ -199,15 +199,10 @@ def _json_pieces(obj, level: int):
         yield "\n" + "  " * level + "}"
     elif type(obj) is list and obj:
         kinds = set(map(type, obj))
-        widths = set(map(len, obj)) if kinds == {list} else ()
-        flat = tuple(chain.from_iterable(obj)) if len(widths) == 1 else ()
         if kinds == {int}:
             yield "[" + ind + ("," + ind).join(map(int.__repr__, obj)) + close
         elif kinds == {str}:
             yield "[" + ind + ("," + ind).join(map(encode_basestring_ascii, obj)) + close
-        elif flat and set(map(type, flat)) == {int}:
-            row = _row_template(widths.pop(), ind)
-            yield "[" + ind + ("," + ind).join([row] * len(obj)) % flat + close
         else:
             for i, v in enumerate(obj):
                 yield ("," if i else "[") + ind
@@ -215,12 +210,6 @@ def _json_pieces(obj, level: int):
             yield close
     else:
         yield json.dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
-
-
-def _row_template(width: int, ind: str) -> str:
-    """The `%` template of one indented row of `width` ints."""
-    inner = ind + "  "
-    return "[" + inner + ("," + inner).join(["%d"] * width) + ind + "]"
 
 
 def _write_json(path: str | None, obj: dict) -> None:

@@ -28,7 +28,8 @@ class EmbeddingMatrix:
     vectors: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vecs = np.asarray(self.vectors, dtype=np.float32)
+        with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, named below
+            vecs = np.asarray(self.vectors, dtype=np.float32)
         if vecs.ndim != 2 or vecs.shape[0] < 1 or vecs.shape[1] < 1:
             raise FormatError(f"expected a non-empty 2-D matrix, got shape {vecs.shape}")
         if len(self.ids) != vecs.shape[0]:
@@ -165,8 +166,10 @@ def _convert_records(pending: list, dim: int | None, blocks: list) -> int:
                     raise FormatError(f"record {i}: value out of float64 range") from e
             raise
     pending.clear()
-    # through float64, so integers round exactly as float64(x) would
-    blocks.append(arr.astype(np.float64, copy=False).astype(np.float32))
+    # through float64, so integers round exactly as float64(x) would; a value
+    # beyond float32 becomes inf, which EmbeddingMatrix names
+    with np.errstate(over="ignore"):
+        blocks.append(arr.astype(np.float64, copy=False).astype(np.float32))
     return arr.shape[1]
 
 

@@ -80,10 +80,13 @@ class SimilarityGraph:
         lo, hi = self.indptr[v], self.indptr[v + 1]
         return self.neighbors[lo:hi], self.edge_weights[lo:hi]
 
+    def sources(self) -> np.ndarray:
+        """The vertex each entry of `neighbors` belongs to, as int64."""
+        return np.repeat(np.arange(self.num_vertices, dtype=np.int64), np.diff(self.indptr))
+
     def edge_list(self) -> np.ndarray:
         """Array of (u, v, w) rows with u < v, ordered lexicographically."""
-        n = self.num_vertices
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        src = self.sources()
         mask = src < self.neighbors
         return np.column_stack([src[mask], self.neighbors[mask], self.edge_weights[mask]])
 
@@ -462,7 +465,7 @@ def edge_cut(g: SimilarityGraph, assignment) -> int:
         raise PartitionMismatch(
             f"assignment covers {assignment.shape} vertices, graph has {g.num_vertices}"
         )
-    src = np.repeat(np.arange(g.num_vertices, dtype=np.int64), np.diff(g.indptr))
+    src = g.sources()
     mask = (src < g.neighbors) & (assignment[src] != assignment[g.neighbors])
     return int(g.edge_weights[mask].sum())
 

@@ -2,8 +2,9 @@
 
 Each bisection coarsens the graph by random matchings, grows a BFS region
 from each of 10 random seeds on the coarsest graph, keeps the trial with the
-smallest cut, and projects the result back level by level with linear-time
-boundary refinement (single highest-gain moves, best-prefix rewind).
+smallest cut, and projects the result back level by level with refinement.
+Each refinement pass seeds every vertex, makes single highest-gain moves
+until no admissible move remains, and then rewinds to its best prefix.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ class SideBounds:
     target0: float
 
     @staticmethod
-    def even(total_weight: int, epsilon: float = DEFAULT_EPSILON) -> "SideBounds":
-        hi = int(math.ceil(total_weight / 2) * (1 + epsilon))
+    def even(total_weight: int) -> "SideBounds":
+        hi = int(math.ceil(total_weight / 2) * (1 + DEFAULT_EPSILON))
         lo = max(1, total_weight - hi)
         return SideBounds(lo=(lo, lo), hi=(hi, hi), target0=total_weight / 2)
 
@@ -95,8 +96,7 @@ def random_matching_coarsen(g: SimilarityGraph, rng: np.random.Generator) -> Coa
     cw = np.zeros(cid, dtype=np.int64)
     np.add.at(cw, coarse_id, g.vertex_weights)
 
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    cu = coarse_id[src]
+    cu = coarse_id[g.sources()]
     cv = coarse_id[nbrs]
     keep = cu < cv  # drops self-loops and keeps one direction
     if keep.any():
@@ -113,22 +113,21 @@ def random_matching_coarsen(g: SimilarityGraph, rng: np.random.Generator) -> Coa
 
 def bfs_initial_bisect(
     g: SimilarityGraph,
-    trials: int = BFS_TRIALS,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     target0: float | None = None,
 ) -> Bisection:
-    """Grow a BFS region from each random start until side 0 holds target0
-    vertex weight; keep the trial with the smallest cut (earlier trial wins ties)."""
+    """Grow a BFS region from each of BFS_TRIALS random starts until side 0
+    holds target0 vertex weight; keep the trial with the smallest cut
+    (earlier trial wins ties)."""
     n = g.num_vertices
     if n < 2:
         raise GraphTooSmall(f"cannot bisect a graph with {n} vertices")
-    rng = rng or np.random.default_rng()
     total = g.total_vertex_weight
     if target0 is None:
         target0 = total / 2
     weights = g.vertex_weights
     best: Bisection | None = None
-    starts = rng.integers(0, n, size=trials)
+    starts = rng.integers(0, n, size=BFS_TRIALS)
     for start in starts:
         side = np.ones(n, dtype=np.int8)
         side[start] = 0
@@ -170,12 +169,14 @@ def refine_kl(
     b: Bisection,
     bounds: SideBounds | None = None,
 ) -> Bisection:
-    """Boundary refinement in the linear-time single-move style.
+    """Single-move refinement of a bisection, in up to DEFAULT_MAX_PASSES passes.
 
-    Repeatedly moves the highest-gain unlocked vertex whose move is
-    admissible, locks it, and at pass end rewinds to the best prefix
-    (feasible states preferred, then lowest cut). Returned cut <= input cut
-    whenever the input state is feasible.
+    Each pass seeds every vertex, then repeatedly moves the highest-gain
+    unlocked vertex whose move is admissible and locks it, until no
+    admissible move remains; it then rewinds to its best prefix (feasible
+    states preferred, then lowest cut). Refinement stops after a pass that
+    does not improve on its start. Returned cut <= input cut whenever the
+    input state is feasible.
     """
     n = g.num_vertices
     side = np.asarray(b.side, dtype=np.int8).copy()
@@ -189,6 +190,7 @@ def refine_kl(
     sw = [int(weights[side == 0].sum()), int(weights[side == 1].sum())]
     counts = [int((side == 0).sum()), int((side == 1).sum())]
     cut = edge_cut(g, side)
+    src = g.sources()
 
     def violation(w0: int, w1: int) -> int:
         v = max(0, w0 - bounds.hi[0]) + max(0, bounds.lo[0] - w0)
@@ -197,7 +199,6 @@ def refine_kl(
 
     for _ in range(DEFAULT_MAX_PASSES):
         gain = np.zeros(n, dtype=np.int64)
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
         crossing = side[src] != side[g.neighbors]
         np.add.at(gain, src[crossing], g.edge_weights[crossing])
         np.subtract.at(gain, src[~crossing], g.edge_weights[~crossing])
@@ -217,7 +218,8 @@ def refine_kl(
             cand = []
             for s in (0, 1):
                 h = heaps[s]
-                while h and (locked[h[0][1]] or side[h[0][1]] != s or -h[0][0] != gain[h[0][1]]):
+                # an unlocked vertex has not moved, so it is still on side s
+                while h and (locked[h[0][1]] or -h[0][0] != gain[h[0][1]]):
                     heapq.heappop(h)
                 if not h:
                     continue
@@ -296,7 +298,7 @@ def multilevel_bisect(
         cur = lvl.graph
     t1 = time.perf_counter()
 
-    b = bfs_initial_bisect(cur, BFS_TRIALS, rng, target0=bounds.target0)
+    b = bfs_initial_bisect(cur, rng, target0=bounds.target0)
     t2 = time.perf_counter()
 
     b = refine_kl(cur, b, bounds=bounds)

@@ -26,6 +26,7 @@ BRUTE_FORCE_MAX_VERTICES = 24
 PAGERANK_DAMPING = 0.85
 PAGERANK_TOL = 1e-10
 PAGERANK_MAX_ITERS = 200
+KMEANS_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ def pagerank_scores(
     if not 0 <= damping <= 1:
         raise InvalidParameter(f"damping must be in [0, 1], got {damping}")
     n = g.num_vertices
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
+    src = g.sources()
     wsum = np.zeros(n)
     np.add.at(wsum, src, g.edge_weights.astype(np.float64))
     dangling = wsum == 0
@@ -258,10 +259,9 @@ def pagerank_select(
     )
 
 
-def lloyd_kmeans(
-    x: np.ndarray, k: int, rng: np.random.Generator, max_iters: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic Lloyd iteration with farthest-point initialization.
+def lloyd_kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic Lloyd iteration with farthest-point initialization, at
+    most KMEANS_MAX_ITERS rounds.
 
     The first center is drawn from rng; each further center is the point
     farthest from its nearest chosen center (ties toward the lower index).
@@ -277,7 +277,7 @@ def lloyd_kmeans(
     centroids = x[centers].astype(np.float64)
     x2 = (x**2).sum(axis=1)
     labels = None
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         dists = x2[:, None] + (centroids**2).sum(axis=1)[None, :] - 2.0 * (x @ centroids.T)
         np.maximum(dists, 0.0, out=dists)
         new_labels = np.argmin(dists, axis=1)
@@ -294,9 +294,7 @@ def lloyd_kmeans(
     return labels, centroids
 
 
-def subcluster_select(
-    E: EmbeddingMatrix, K: int, M: int, seed: int, max_iters: int = 100
-) -> SelectionResult:
+def subcluster_select(E: EmbeddingMatrix, K: int, M: int, seed: int) -> SelectionResult:
     """K-means into K groups, then per-group k-means into its quota of
     subclusters; each subcluster contributes its most central instance."""
     n = E.n
@@ -307,7 +305,7 @@ def subcluster_select(
     t0 = time.perf_counter()
     x = E.vectors.astype(np.float64)
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-    labels, _ = lloyd_kmeans(x, K, rng, max_iters)
+    labels, _ = lloyd_kmeans(x, K, rng)
     sizes = [int((labels == c).sum()) for c in range(K)]
     quotas = allocate_quotas(sizes, M)
     selected: list[int] = []
@@ -318,7 +316,7 @@ def subcluster_select(
         if q == 0:
             per_part[c] = []
             continue
-        sub_labels, centroids = lloyd_kmeans(x[members], q, rng, max_iters)
+        sub_labels, centroids = lloyd_kmeans(x[members], q, rng)
         picks = []
         for s in range(q):
             inside = members[sub_labels == s]

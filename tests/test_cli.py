@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,17 @@ def test_missing_input_exits_1(tmp_path, capsys):
     rc = main(["build-graph", "--input", str(tmp_path / "nope.jsonl"), "-o", str(tmp_path / "g.json")])
     assert rc == 1
     assert "nope.jsonl" in capsys.readouterr().err
+
+
+def test_float32_overflow_exits_1_with_one_error_line(tmp_path, capsys):
+    """A JSONL value beyond the float32 range is named as a non-finite
+    value, with no numpy warning before the CLI's own message."""
+    p = tmp_path / "big.jsonl"
+    p.write_text('{"id": "a", "vector": [1e39, 1.0]}\n', encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["build-graph", "--input", str(p), "-o", str(tmp_path / "g.json")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: non-finite value at record 0"]
 
 
 def test_bad_k_exits_2(workspace):
@@ -498,6 +510,34 @@ def test_random_config_never_tracebacks(tiny_pool, config):
             rc = main([*argv, "--config", str(cfg), "-o", str(tmp / "out.json")])
         assert rc in (0, 1, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+# bench and verify flags, edge values included, written `--flag=value` so a
+# negative value is not read as a flag; pools stay at most 64 vectors and
+# verify's budget small enough for its exhaustive oracle
+_run_flags = {"--seed": st.integers(-3, 5), "--threads": st.integers(-1, 3), "--no-timings": st.just(True)}
+_bench_argvs = st.fixed_dictionaries({
+    "--sizes": st.lists(st.integers(-1, 64), max_size=3).map(lambda s: ",".join(map(str, s))),
+}, optional={
+    **_run_flags, "--d": st.integers(-1, 8), "--k": st.integers(-1, 12), "--K": st.integers(-1, 12),
+    "--budget": st.integers(-1, 70), "--repeats": st.integers(-1, 2),
+}).map(lambda flags: ["bench", *flags.items()])
+_verify_budgets = (st.fixed_dictionaries({"--max-n": st.integers(-1, 25), "--max-budget": st.integers(-1, 3)})
+                   | st.fixed_dictionaries({"--max-n": st.integers(-1, 6), "--max-budget": st.integers(4, 30)}))
+_verify_argvs = st.builds(lambda budgets, flags: ["verify", *budgets.items(), *flags.items()], _verify_budgets,
+                          st.fixed_dictionaries({"--instances": st.integers(-1, 20)}, optional=_run_flags))
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_bench_argvs | _verify_argvs)
+def test_random_bench_and_verify_flags_never_traceback(tmp_path_factory, argv):
+    out = tmp_path_factory.mktemp("run") / "out.json"
+    argv = [argv[0], *(flag if value is True else f"{flag}={value}" for flag, value in argv[1:])]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([*argv, "-o", str(out)])
+    assert rc in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.fixture(scope="module")

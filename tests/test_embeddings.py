@@ -2,6 +2,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -58,6 +59,12 @@ class TestLoadJsonl:
         p.write_text('{"id":"a","vector":[1,NaN]}\n', encoding="utf-8")
         with pytest.raises(FormatError):
             load_embeddings(str(p), "jsonl")
+
+    def test_float32_overflow_is_named_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FormatError, match="non-finite value at record 0"):
+                EmbeddingMatrix(ids=["a"], vectors=[[1e39, 1.0]])
 
     def test_zero_vector_rejected(self, tmp_path):
         p = tmp_path / "e.jsonl"

@@ -83,18 +83,18 @@ class TestRandomMatchingCoarsen:
 class TestBfsInitialBisect:
     def test_two_triangles_bridge(self, rng):
         g = two_triangles_bridge()
-        b = bfs_initial_bisect(g, trials=10, rng=rng)
+        b = bfs_initial_bisect(g, rng=rng)
         assert b.cut == 1
         assert sorted(np.nonzero(b.side == b.side[0])[0].tolist()) in ([0, 1, 2], [3, 4, 5])
         assert exhaustive_min_balanced_cut(g) == 1
 
     def test_path4(self, rng):
-        b = bfs_initial_bisect(path_graph(4), trials=10, rng=rng)
+        b = bfs_initial_bisect(path_graph(4), rng=rng)
         assert b.cut == 1
         assert exhaustive_min_balanced_cut(path_graph(4)) == 1
 
     def test_k4_any_split_cuts_4(self, rng):
-        b = bfs_initial_bisect(complete_graph(4), trials=10, rng=rng)
+        b = bfs_initial_bisect(complete_graph(4), rng=rng)
         assert b.cut == 4
 
     def test_side_weights_sum(self, rng):
