@@ -306,6 +306,8 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.no_timings:
+        raise InvalidParameter("bench reports timings only; --no-timings does not apply to it")
     report = bench_mod.run_bench(args.sizes, d=args.d, k=args.k, K=args.K, M=args.budget,
                                  seed=args.seed, repeats=args.repeats, threads=args.threads)
     _write_json(args.output, report)

@@ -484,9 +484,10 @@ def graph_to_dict(g: SimilarityGraph) -> dict:
 def graph_from_dict(d: dict) -> SimilarityGraph:
     """The graph of a graph JSON document; anything malformed raises FormatError.
 
-    `edges` is a list of [u, v, weight] triples and `vertex_weights`, if
-    given, a list of num_vertices numbers. Every number must be a JSON
-    integer: a float, a numeric string, true or false is named and rejected."""
+    `num_vertices` is at least 1, `edges` is a list of [u, v, weight]
+    triples and `vertex_weights`, if given, a list of num_vertices numbers.
+    Every number must be a JSON integer: a float, a numeric string, true or
+    false is named and rejected."""
     try:
         n = d["num_vertices"]
         edges = np.asarray(d["edges"])
@@ -497,8 +498,8 @@ def graph_from_dict(d: dict) -> SimilarityGraph:
         raise FormatError(f"bad graph JSON: {e}") from e
     if type(n) is not int:
         raise FormatError(f"bad graph JSON: num_vertices {json.dumps(n)} is not an integer")
-    if n < 0:
-        raise FormatError(f"bad graph JSON: num_vertices {n} is negative")
+    if n < 1:
+        raise FormatError(f"bad graph JSON: num_vertices {n}: a graph needs at least one vertex")
     if edges.shape == (0,):
         edges = edges.reshape(0, 3)
     if edges.ndim != 2 or edges.shape[1] != 3:

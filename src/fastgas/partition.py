@@ -5,6 +5,9 @@ from each of 10 random seeds on the coarsest graph, keeps the trial with the
 smallest cut, and projects the result back level by level with refinement.
 Each refinement pass seeds every vertex, makes single highest-gain moves
 until no admissible move remains, and then rewinds to its best prefix.
+Refinement checks its cut bookkeeping against recomputed cuts, and never
+lets the cut of a feasible bisection rise; a violation raises InternalError
+(exit 3).
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ DEFAULT_MAX_PASSES = 4
 class Bisection:
     side: np.ndarray  # per-vertex flag in {0, 1}
     cut: int
-    side_weights: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ def bfs_initial_bisect(
                         break
         cut = edge_cut(g, side)
         if best is None or cut < best.cut:
-            best = Bisection(side=side, cut=cut, side_weights=(acc, total - acc))
+            best = Bisection(side=side, cut=cut)
     return best
 
 
@@ -177,6 +179,11 @@ def refine_kl(
     states preferred, then lowest cut). Refinement stops after a pass that
     does not improve on its start. Returned cut <= input cut whenever the
     input state is feasible.
+
+    Three checks raise InternalError (exit 3): `b.cut` must be the cut of
+    `b.side` (inside multilevel_bisect, the projection keeps the coarse
+    cut); each pass's tracked cut must equal the cut recomputed after its
+    rewind; and the cut of a feasible input must not rise.
     """
     n = g.num_vertices
     side = np.asarray(b.side, dtype=np.int8).copy()
@@ -190,6 +197,8 @@ def refine_kl(
     sw = [int(weights[side == 0].sum()), int(weights[side == 1].sum())]
     counts = [int((side == 0).sum()), int((side == 1).sum())]
     cut = edge_cut(g, side)
+    if cut != b.cut:
+        raise InternalError(f"refinement got a bisection of cut {cut} that claims cut {b.cut}")
     src = g.sources()
 
     def violation(w0: int, w1: int) -> int:
@@ -197,6 +206,7 @@ def refine_kl(
         v += max(0, w1 - bounds.hi[1]) + max(0, bounds.lo[1] - w1)
         return v
 
+    feasible = violation(sw[0], sw[1]) == 0
     for _ in range(DEFAULT_MAX_PASSES):
         gain = np.zeros(n, dtype=np.int64)
         crossing = side[src] != side[g.neighbors]
@@ -268,10 +278,14 @@ def refine_kl(
             counts[s] -= 1
             counts[1 - s] += 1
         cut = edge_cut(g, side)
+        if cut != best_score[1]:
+            raise InternalError(f"refinement tracked cut {best_score[1]}, its sides cut {cut}")
         if best_score >= start_score:
             break
 
-    return Bisection(side=side, cut=cut, side_weights=(sw[0], sw[1]))
+    if feasible and cut > b.cut:
+        raise InternalError(f"refinement raised the cut of a feasible bisection from {b.cut} to {cut}")
+    return Bisection(side=side, cut=cut)
 
 
 def multilevel_bisect(
@@ -281,9 +295,6 @@ def multilevel_bisect(
     timings: dict | None = None,
 ) -> Bisection:
     """Coarsen, bisect the coarsest graph, project back with refinement."""
-    n = g.num_vertices
-    if n < 2:
-        raise GraphTooSmall(f"cannot bisect a graph with {n} vertices")
     if bounds is None:
         bounds = SideBounds.even(g.total_vertex_weight)
 
@@ -305,10 +316,7 @@ def multilevel_bisect(
     # level i was coarsened from fine_graphs[i]
     fine_graphs = [g] + [lvl.graph for lvl in levels[:-1]]
     for lvl, fine_g in zip(reversed(levels), reversed(fine_graphs)):
-        side = b.side[lvl.match_map]
-        w0 = int(fine_g.vertex_weights[side == 0].sum())
-        projected = Bisection(side=side, cut=b.cut, side_weights=(w0, fine_g.total_vertex_weight - w0))
-        b = refine_kl(fine_g, projected, bounds=bounds)
+        b = refine_kl(fine_g, Bisection(side=b.side[lvl.match_map], cut=b.cut), bounds=bounds)
     t3 = time.perf_counter()
 
     if timings is not None:

@@ -283,8 +283,10 @@ def lloyd_kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.nd
         new_labels = np.argmin(dists, axis=1)
         for c in range(k):
             if not (new_labels == c).any():
-                # reseed an empty cluster with the worst-fit point
-                far = int(np.argmax(dists[np.arange(n), new_labels]))
+                # reseed an empty cluster with the worst-fit point among the
+                # clusters that keep another member; one exists since k <= n
+                donor = np.bincount(new_labels, minlength=k)[new_labels] > 1
+                far = int(np.argmax(np.where(donor, dists[np.arange(n), new_labels], -1.0)))
                 new_labels[far] = c
         if labels is not None and (new_labels == labels).all():
             break

@@ -185,6 +185,30 @@ def test_weighted_graph_cannot_be_partitioned(tmp_path, capsys):
                  "-o", str(tmp_path / "o.json")]) == 0
 
 
+def test_empty_graph_exits_1(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"num_vertices": 0, "k": 1, "edges": [], "vertex_weights": []}))
+    assert main(["select", "--method", "pagerank", "--budget", "0", "--input", str(g),
+                 "-o", str(tmp_path / "s.json")]) == 1
+    assert "num_vertices 0: a graph needs at least one vertex" in capsys.readouterr().err
+
+
+def test_subcluster_on_duplicate_rows(tmp_path):
+    pool, out = tmp_path / "pool.jsonl", tmp_path / "s.json"
+    pool.write_text("".join(json.dumps({"id": f"d{i}", "vector": v}) + "\n"
+                            for i, v in enumerate([[1, 0]] * 5 + [[0, 1]])))
+    assert main(["select", "--method", "subcluster", "--K", "1", "--budget", "4", "--input", str(pool),
+                 "-o", str(out)]) == 0
+    assert len(set(json.loads(out.read_text())["selected"])) == 4
+
+
+def test_bench_rejects_no_timings(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert main(["bench", "--sizes", "60", "--budget", "6", "--no-timings", "-o", str(out)]) == 2
+    assert "--no-timings" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_subcommand(tmp_path):
     out = tmp_path / "b.json"
     assert main(["bench", "--sizes", "200,400", "--budget", "20", "--K", "4",

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, two_triangles_bridge
-from fastgas.errors import GraphTooSmall, InvalidK
-from fastgas.graph import edge_cut, graph_from_edges
+from fastgas import partition
+from fastgas.embeddings import generate_synthetic
+from fastgas.errors import GraphTooSmall, InternalError, InvalidK
+from fastgas.graph import build_knn_graph, edge_cut, graph_from_edges
 from fastgas.partition import (
     Bisection,
     SideBounds,
@@ -59,8 +61,9 @@ class TestRandomMatchingCoarsen:
             assert lvl.graph.total_edge_weight <= 4
 
     def test_matching_property_and_weight_conservation(self, rng):
-        for _ in range(20):
-            g = random_graph(int(rng.integers(5, 60)), 0.2, rng)
+        knn = build_knn_graph(generate_synthetic(400, 16, 8, 0.4, seed=5), 10)
+        graphs = itertools.chain((random_graph(int(rng.integers(5, 60)), 0.2, rng) for _ in range(20)), [knn])
+        for g in graphs:
             lvl = random_matching_coarsen(g, rng)
             sizes = np.bincount(lvl.match_map)
             assert set(sizes.tolist()) <= {1, 2}
@@ -101,7 +104,8 @@ class TestBfsInitialBisect:
         for _ in range(10):
             g = random_graph(int(rng.integers(6, 40)), 0.3, rng)
             b = bfs_initial_bisect(g, rng=rng)
-            assert sum(b.side_weights) == g.total_vertex_weight
+            # side 0 grows until it holds half the weight
+            assert g.total_vertex_weight / 2 <= g.vertex_weights[b.side == 0].sum() < g.total_vertex_weight
             assert b.cut == edge_cut(g, b.side)
 
 
@@ -109,7 +113,7 @@ class TestRefineKl:
     def test_local_minimum_unchanged(self, rng):
         g = two_triangles_bridge()
         side = np.array([0, 0, 0, 1, 1, 1], dtype=np.int8)
-        b = Bisection(side=side, cut=1, side_weights=(3, 3))
+        b = Bisection(side=side, cut=1)
         out = refine_kl(g, b)
         assert out.cut == 1
         assert np.array_equal(out.side, side)
@@ -117,7 +121,7 @@ class TestRefineKl:
     def test_cycle4_alternating_refines_to_2(self):
         g = cycle_graph(4)
         side = np.array([0, 1, 0, 1], dtype=np.int8)
-        b = Bisection(side=side, cut=4, side_weights=(2, 2))
+        b = Bisection(side=side, cut=4)
         out = refine_kl(g, b)
         assert out.cut == 2
         assert exhaustive_min_balanced_cut(g) == 2
@@ -130,13 +134,31 @@ class TestRefineKl:
                 side[0] = 1 - side[0]
             cut0 = edge_cut(g, side)
             w0 = int(g.vertex_weights[side == 0].sum())
-            b = Bisection(side=side, cut=cut0, side_weights=(w0, g.total_vertex_weight - w0))
+            b = Bisection(side=side, cut=cut0)
             out = refine_kl(g, b)
             assert out.cut == edge_cut(g, out.side)
             # monotone whenever the input was already feasible
             bounds = SideBounds.even(g.total_vertex_weight)
             if bounds.lo[0] <= w0 <= bounds.hi[0]:
                 assert out.cut <= cut0
+
+    def test_misreported_cut_raises(self):
+        side = np.array([0, 0, 0, 1, 1, 1], dtype=np.int8)
+        with pytest.raises(InternalError, match="claims cut 2"):
+            refine_kl(two_triangles_bridge(), Bisection(side=side, cut=2))
+
+    def test_tracked_cut_is_checked_after_each_pass(self, monkeypatch):
+        # edge_cut answers truly on entry, then one too high after the first pass
+        calls = []
+
+        def misreport(g, side):
+            calls.append(None)
+            return edge_cut(g, side) + (len(calls) > 1)
+
+        monkeypatch.setattr(partition, "edge_cut", misreport)
+        side = np.array([0, 1, 0, 1], dtype=np.int8)
+        with pytest.raises(InternalError, match="tracked cut 2, its sides cut 3"):
+            refine_kl(cycle_graph(4), Bisection(side=side, cut=4))
 
 
 class TestMultilevelBisect:
@@ -145,12 +167,16 @@ class TestMultilevelBisect:
         b = multilevel_bisect(g, rng)
         assert b.cut == 1
 
+    def test_too_small(self, rng):
+        with pytest.raises(GraphTooSmall, match="cannot bisect a graph with 1 vertices"):
+            multilevel_bisect(graph_from_edges(1, []), rng)
+
     def test_balance_contract(self, rng):
         for _ in range(10):
             g = random_graph(int(rng.integers(20, 200)), 0.1, rng)
             b = multilevel_bisect(g, rng)
             half = g.total_vertex_weight / 2
-            assert max(b.side_weights) <= math.ceil(half) * 1.03 + 1e-9
+            assert np.bincount(b.side, weights=g.vertex_weights).max() <= math.ceil(half) * 1.03 + 1e-9
 
     def test_planted_two_clusters_recovered(self):
         rng = np.random.default_rng(42)

@@ -12,6 +12,7 @@ from fastgas.selection import (
     fastgas_select,
     greedy_select,
     greedy_select_trace,
+    lloyd_kmeans,
     pagerank_scores,
     pagerank_select,
     random_select,
@@ -233,6 +234,16 @@ class TestSubcluster:
         emb = EmbeddingMatrix(ids=[f"d{i}" for i in range(10)], vectors=x)
         res = subcluster_select(emb, 2, 2, seed=0)
         assert sorted(res.selected) == [0, 5]
+
+    def test_more_subclusters_than_distinct_rows(self):
+        # the farthest-point seeds repeat a row, so several clusters start empty
+        x = np.array([[1.0, 0]] * 5 + [[0, 1.0]])
+        for seed in range(6):
+            labels, _ = lloyd_kmeans(x, 4, np.random.default_rng(seed))
+            assert (np.bincount(labels, minlength=4) >= 1).all()
+        emb = EmbeddingMatrix(ids=[f"d{i}" for i in range(6)], vectors=x)
+        res = subcluster_select(emb, 1, 4, seed=0)
+        assert len(set(res.selected)) == 4
 
     def test_deterministic(self):
         emb = generate_synthetic(80, 6, 4, 0.2, seed=9)
