@@ -221,9 +221,10 @@ def _write_json(path: str | None, obj: dict) -> None:
 
 
 def _load_selection(path: str, ids: list[str]) -> list[int]:
-    """The `selected` indices of a selection file, each a vertex of the pool
-    with these ids. Its `selected_ids`, unless null or absent, must be the
-    pool's ids at `selected`, so a selection made on another pool is refused."""
+    """The `selected` indices of a selection file, each a distinct vertex of
+    the pool with these ids. Its `selected_ids`, unless null or absent, must
+    be the pool's ids at `selected`, so a selection made on another pool is
+    refused."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
@@ -233,6 +234,11 @@ def _load_selection(path: str, ids: list[str]) -> list[int]:
     selected = doc.get("selected") if type(doc) is dict else None
     if type(selected) is not list or not all(type(i) is int and 0 <= i < n for i in selected):
         raise FormatError(f"{path}: \"selected\" must be a list of pool indices in [0, {n})")
+    seen = set()
+    for j, i in enumerate(selected):
+        if i in seen:
+            raise FormatError(f"{path}: selected[{j}] = {i} repeats an earlier entry")
+        seen.add(i)
     named = doc.get("selected_ids")
     if named is None:
         return selected
@@ -271,24 +277,28 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    ids = None
     if args.method == "subcluster":
         emb = load_embeddings(args.input, args.format)
-        ids = emb.ids
-        res = subcluster_select(emb, args.K, args.budget, args.seed)
+        ids, n = emb.ids, len(emb.ids)
     else:
         g = load_graph(args.input)
-        if args.method == "fastgas":
-            res = fastgas_select(g, args.K, args.budget, args.seed)
-        elif args.method == "random":
-            res = random_select(g.num_vertices, args.budget, args.seed)
-        elif args.method == "top-degree":
-            res = top_degree_select(g, args.budget)
-        else:
-            res = pagerank_select(g, args.budget, damping=args.damping, tol=args.tol,
-                                  max_iters=args.max_iters)
+        ids, n = None, g.num_vertices
     if args.embeddings:
         ids = load_embeddings(args.embeddings, args.format).ids
+        if len(ids) != n:
+            raise FormatError(f"{args.embeddings}: {len(ids)} embeddings for the "
+                              f"{n} vertices of {args.input}")
+    if args.method == "subcluster":
+        res = subcluster_select(emb, args.K, args.budget, args.seed)
+    elif args.method == "fastgas":
+        res = fastgas_select(g, args.K, args.budget, args.seed)
+    elif args.method == "random":
+        res = random_select(n, args.budget, args.seed)
+    elif args.method == "top-degree":
+        res = top_degree_select(g, args.budget)
+    else:
+        res = pagerank_select(g, args.budget, damping=args.damping, tol=args.tol,
+                              max_iters=args.max_iters)
     _write_json(args.output, res.to_dict(ids=ids, with_timings=not args.no_timings))
     return 0
 

@@ -4,7 +4,8 @@ Each bisection coarsens the graph by random matchings, grows a BFS region
 from each of 10 random seeds on the coarsest graph, keeps the trial with the
 smallest cut, and projects the result back level by level with refinement.
 Each refinement pass seeds every vertex, makes single highest-gain moves
-until no admissible move remains, and then rewinds to its best prefix.
+until no admissible move remains, and then rewinds to its best prefix; no
+pass starts at or runs past (balance violation, cut) = (0, 0), the lowest.
 Refinement checks its cut bookkeeping against recomputed cuts, and never
 lets the cut of a feasible bisection rise; a violation raises InternalError
 (exit 3).
@@ -65,12 +66,6 @@ class SideBounds:
     hi: tuple[int, int]
     target0: float
 
-    @staticmethod
-    def even(total_weight: int) -> "SideBounds":
-        hi = int(math.ceil(total_weight / 2) * (1 + DEFAULT_EPSILON))
-        lo = max(1, total_weight - hi)
-        return SideBounds(lo=(lo, lo), hi=(hi, hi), target0=total_weight / 2)
-
 
 def random_matching_coarsen(g: SimilarityGraph, rng: np.random.Generator) -> CoarseningLevel:
     """One coarsening level: contract a random matching.
@@ -116,7 +111,7 @@ def random_matching_coarsen(g: SimilarityGraph, rng: np.random.Generator) -> Coa
 def bfs_initial_bisect(
     g: SimilarityGraph,
     rng: np.random.Generator,
-    target0: float | None = None,
+    target0: float,
 ) -> Bisection:
     """Grow a BFS region from each of BFS_TRIALS random starts until side 0
     holds target0 vertex weight; keep the trial with the smallest cut
@@ -124,9 +119,6 @@ def bfs_initial_bisect(
     n = g.num_vertices
     if n < 2:
         raise GraphTooSmall(f"cannot bisect a graph with {n} vertices")
-    total = g.total_vertex_weight
-    if target0 is None:
-        target0 = total / 2
     weights = g.vertex_weights
     best: Bisection | None = None
     starts = rng.integers(0, n, size=BFS_TRIALS)
@@ -169,16 +161,17 @@ def bfs_initial_bisect(
 def refine_kl(
     g: SimilarityGraph,
     b: Bisection,
-    bounds: SideBounds | None = None,
+    bounds: SideBounds,
 ) -> Bisection:
     """Single-move refinement of a bisection, in up to DEFAULT_MAX_PASSES passes.
 
     Each pass seeds every vertex, then repeatedly moves the highest-gain
     unlocked vertex whose move is admissible and locks it, until no
-    admissible move remains; it then rewinds to its best prefix (feasible
-    states preferred, then lowest cut). Refinement stops after a pass that
-    does not improve on its start. Returned cut <= input cut whenever the
-    input state is feasible.
+    admissible move remains or the score (balance violation, cut) reaches
+    (0, 0), which no state beats; it then rewinds to its best prefix
+    (feasible states preferred, then lowest cut). No pass starts at (0, 0),
+    and refinement stops after a pass that does not improve on its start.
+    Returned cut <= input cut whenever the input state is feasible.
 
     Three checks raise InternalError (exit 3): `b.cut` must be the cut of
     `b.side` (inside multilevel_bisect, the projection keeps the coarse
@@ -189,9 +182,6 @@ def refine_kl(
     side = np.asarray(b.side, dtype=np.int8).copy()
     if side.shape != (n,) or not np.isin(side, (0, 1)).all():
         raise InvalidBisection("side flags must cover every vertex with values in {0,1}")
-    total = g.total_vertex_weight
-    if bounds is None:
-        bounds = SideBounds.even(total)
     weights = g.vertex_weights
     maxw = int(weights.max()) if n else 1
     sw = [int(weights[side == 0].sum()), int(weights[side == 1].sum())]
@@ -206,8 +196,13 @@ def refine_kl(
         v += max(0, w1 - bounds.hi[1]) + max(0, bounds.lo[1] - w1)
         return v
 
-    feasible = violation(sw[0], sw[1]) == 0
+    start_score, best_score = None, (violation(sw[0], sw[1]), cut)
+    feasible = best_score[0] == 0
     for _ in range(DEFAULT_MAX_PASSES):
+        # stop once a pass gained nothing, or at (0, 0), which no state beats
+        if best_score in (start_score, (0, 0)):
+            break
+        start_score = best_score
         gain = np.zeros(n, dtype=np.int64)
         crossing = side[src] != side[g.neighbors]
         np.add.at(gain, src[crossing], g.edge_weights[crossing])
@@ -218,12 +213,10 @@ def refine_kl(
         for v in range(n):
             heapq.heappush(heaps[side[v]], (-int(gain[v]), v))
 
-        start_score = (violation(sw[0], sw[1]), cut)
-        best_score = start_score
         best_len = 0
         moves: list[int] = []
 
-        while True:
+        while best_score > (0, 0):
             # peek the best admissible move on each side
             cand = []
             for s in (0, 1):
@@ -280,8 +273,6 @@ def refine_kl(
         cut = edge_cut(g, side)
         if cut != best_score[1]:
             raise InternalError(f"refinement tracked cut {best_score[1]}, its sides cut {cut}")
-        if best_score >= start_score:
-            break
 
     if feasible and cut > b.cut:
         raise InternalError(f"refinement raised the cut of a feasible bisection from {b.cut} to {cut}")
@@ -291,13 +282,10 @@ def refine_kl(
 def multilevel_bisect(
     g: SimilarityGraph,
     rng: np.random.Generator,
-    bounds: SideBounds | None = None,
+    bounds: SideBounds,
     timings: dict | None = None,
 ) -> Bisection:
     """Coarsen, bisect the coarsest graph, project back with refinement."""
-    if bounds is None:
-        bounds = SideBounds.even(g.total_vertex_weight)
-
     t0 = time.perf_counter()
     levels: list[CoarseningLevel] = []
     cur = g

@@ -89,6 +89,20 @@ def test_select_attaches_ids(workspace):
     assert all(i.startswith("syn-") for i in sel["selected_ids"])
 
 
+@pytest.mark.parametrize("method", ["top-degree", "subcluster"])
+def test_select_embeddings_of_another_size_exits_1(workspace, capsys, method):
+    tmp, pool, _ = workspace
+    short = tmp / "short.jsonl"
+    save_embeddings(generate_synthetic(5, 8, 2, 0.1, seed=3), str(short), "jsonl")
+    main(["build-graph", "--input", str(pool), "--k", "5", "-o", str(tmp / "g.json")])
+    src = pool if method == "subcluster" else tmp / "g.json"
+    assert main(["select", "--input", str(src), "--method", method, "--budget", "10",
+                 "--embeddings", str(short), "-o", str(tmp / "s.json")]) == 1
+    err = capsys.readouterr().err
+    assert f"{short}: 5 embeddings for the 120 vertices of {src}" in err
+    assert not (tmp / "s.json").exists()
+
+
 def test_random_retrieve_mode(workspace):
     tmp, pool, tests = workspace
     main(["build-graph", "--input", str(pool), "--k", "5", "-o", str(tmp / "g.json")])
@@ -412,6 +426,15 @@ def test_bad_selection_file_exits_1(built, capsys, doc, mode):
     assert main(["retrieve", "--input", str(pool), "--tests", str(tests), "--tests-format", "binary",
                  "--selection", str(sel), "--mode", mode, "-o", str(tmp / "r.json")]) == 1
     assert "bad-sel.json" in capsys.readouterr().err
+
+
+def test_repeated_selection_index_exits_1(built, capsys):
+    tmp, pool, tests = built
+    sel = tmp / "repeat.json"
+    sel.write_text(json.dumps({"selected": [1, 1, 2]}))
+    assert main(["retrieve", "--input", str(pool), "--tests", str(tests), "--tests-format", "binary",
+                 "--selection", str(sel), "--m", "3", "-o", str(tmp / "r.json")]) == 1
+    assert f"{sel}: selected[1] = 1 repeats an earlier entry" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("change, words", [

@@ -8,16 +8,31 @@ from conftest import complete_graph, cycle_graph, path_graph, random_graph, two_
 from fastgas import partition
 from fastgas.embeddings import generate_synthetic
 from fastgas.errors import GraphTooSmall, InternalError, InvalidK
-from fastgas.graph import build_knn_graph, edge_cut, graph_from_edges
+from fastgas.graph import SimilarityGraph, build_knn_graph, edge_cut, graph_from_edges
 from fastgas.partition import (
     Bisection,
-    SideBounds,
     bfs_initial_bisect,
     multilevel_bisect,
     partition_kway,
     random_matching_coarsen,
     refine_kl,
 )
+
+
+def kway2_bounds(g):
+    """The SideBounds that partition_kway gives the one bisection of a K = 2 split of g."""
+    seen = []
+    bisect = partition.multilevel_bisect
+
+    def spy(sub, rng, bounds, timings=None):
+        seen.append(bounds)
+        return bisect(sub, rng, bounds, timings)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "multilevel_bisect", spy)
+        partition_kway(g, 2, seed=0)
+    (bounds,) = seen
+    return bounds
 
 
 def exhaustive_min_balanced_cut(g, max_imbalance=0):
@@ -86,24 +101,26 @@ class TestRandomMatchingCoarsen:
 class TestBfsInitialBisect:
     def test_two_triangles_bridge(self, rng):
         g = two_triangles_bridge()
-        b = bfs_initial_bisect(g, rng=rng)
+        b = bfs_initial_bisect(g, rng, kway2_bounds(g).target0)
         assert b.cut == 1
         assert sorted(np.nonzero(b.side == b.side[0])[0].tolist()) in ([0, 1, 2], [3, 4, 5])
         assert exhaustive_min_balanced_cut(g) == 1
 
     def test_path4(self, rng):
-        b = bfs_initial_bisect(path_graph(4), rng=rng)
+        g = path_graph(4)
+        b = bfs_initial_bisect(g, rng, kway2_bounds(g).target0)
         assert b.cut == 1
-        assert exhaustive_min_balanced_cut(path_graph(4)) == 1
+        assert exhaustive_min_balanced_cut(g) == 1
 
     def test_k4_any_split_cuts_4(self, rng):
-        b = bfs_initial_bisect(complete_graph(4), rng=rng)
+        g = complete_graph(4)
+        b = bfs_initial_bisect(g, rng, kway2_bounds(g).target0)
         assert b.cut == 4
 
     def test_side_weights_sum(self, rng):
         for _ in range(10):
             g = random_graph(int(rng.integers(6, 40)), 0.3, rng)
-            b = bfs_initial_bisect(g, rng=rng)
+            b = bfs_initial_bisect(g, rng, kway2_bounds(g).target0)
             # side 0 grows until it holds half the weight
             assert g.total_vertex_weight / 2 <= g.vertex_weights[b.side == 0].sum() < g.total_vertex_weight
             assert b.cut == edge_cut(g, b.side)
@@ -114,7 +131,7 @@ class TestRefineKl:
         g = two_triangles_bridge()
         side = np.array([0, 0, 0, 1, 1, 1], dtype=np.int8)
         b = Bisection(side=side, cut=1)
-        out = refine_kl(g, b)
+        out = refine_kl(g, b, kway2_bounds(g))
         assert out.cut == 1
         assert np.array_equal(out.side, side)
 
@@ -122,7 +139,7 @@ class TestRefineKl:
         g = cycle_graph(4)
         side = np.array([0, 1, 0, 1], dtype=np.int8)
         b = Bisection(side=side, cut=4)
-        out = refine_kl(g, b)
+        out = refine_kl(g, b, kway2_bounds(g))
         assert out.cut == 2
         assert exhaustive_min_balanced_cut(g) == 2
 
@@ -135,17 +152,36 @@ class TestRefineKl:
             cut0 = edge_cut(g, side)
             w0 = int(g.vertex_weights[side == 0].sum())
             b = Bisection(side=side, cut=cut0)
-            out = refine_kl(g, b)
+            bounds = kway2_bounds(g)
+            out = refine_kl(g, b, bounds)
             assert out.cut == edge_cut(g, out.side)
             # monotone whenever the input was already feasible
-            bounds = SideBounds.even(g.total_vertex_weight)
             if bounds.lo[0] <= w0 <= bounds.hi[0]:
                 assert out.cut <= cut0
 
     def test_misreported_cut_raises(self):
+        g = two_triangles_bridge()
         side = np.array([0, 0, 0, 1, 1, 1], dtype=np.int8)
         with pytest.raises(InternalError, match="claims cut 2"):
-            refine_kl(two_triangles_bridge(), Bisection(side=side, cut=2))
+            refine_kl(g, Bisection(side=side, cut=2), kway2_bounds(g))
+
+    def test_no_move_from_feasible_zero_cut(self, monkeypatch):
+        # two disjoint triangles split along their components: score (0, 0)
+        g = graph_from_edges(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
+        bounds = kway2_bounds(g)
+        side = np.array([0, 0, 0, 1, 1, 1], dtype=np.int8)
+        moved = []
+        neighbors_of = SimilarityGraph.neighbors_of
+
+        def counting(self, v):
+            moved.append(v)
+            return neighbors_of(self, v)
+
+        monkeypatch.setattr(SimilarityGraph, "neighbors_of", counting)
+        out = refine_kl(g, Bisection(side=side, cut=0), bounds)
+        assert moved == []
+        assert out.cut == 0
+        assert np.array_equal(out.side, side)
 
     def test_tracked_cut_is_checked_after_each_pass(self, monkeypatch):
         # edge_cut answers truly on entry, then one too high after the first pass
@@ -155,26 +191,28 @@ class TestRefineKl:
             calls.append(None)
             return edge_cut(g, side) + (len(calls) > 1)
 
+        g = cycle_graph(4)
+        bounds = kway2_bounds(g)
         monkeypatch.setattr(partition, "edge_cut", misreport)
         side = np.array([0, 1, 0, 1], dtype=np.int8)
         with pytest.raises(InternalError, match="tracked cut 2, its sides cut 3"):
-            refine_kl(cycle_graph(4), Bisection(side=side, cut=4))
+            refine_kl(g, Bisection(side=side, cut=4), bounds)
 
 
 class TestMultilevelBisect:
     def test_small_graph_base_case(self, rng):
         g = two_triangles_bridge()
-        b = multilevel_bisect(g, rng)
+        b = multilevel_bisect(g, rng, kway2_bounds(g))
         assert b.cut == 1
 
     def test_too_small(self, rng):
         with pytest.raises(GraphTooSmall, match="cannot bisect a graph with 1 vertices"):
-            multilevel_bisect(graph_from_edges(1, []), rng)
+            multilevel_bisect(graph_from_edges(1, []), rng, kway2_bounds(path_graph(4)))
 
     def test_balance_contract(self, rng):
         for _ in range(10):
             g = random_graph(int(rng.integers(20, 200)), 0.1, rng)
-            b = multilevel_bisect(g, rng)
+            b = multilevel_bisect(g, rng, kway2_bounds(g))
             half = g.total_vertex_weight / 2
             assert np.bincount(b.side, weights=g.vertex_weights).max() <= math.ceil(half) * 1.03 + 1e-9
 
@@ -190,7 +228,7 @@ class TestMultilevelBisect:
             u, v = int(rng.integers(0, 500)), int(rng.integers(500, 1000))
             edges.append((u, v, 1))
         g = graph_from_edges(1000, set(edges))
-        b = multilevel_bisect(g, np.random.default_rng(7))
+        b = multilevel_bisect(g, np.random.default_rng(7), kway2_bounds(g))
         planted = np.array([0] * 500 + [1] * 500)
         agree = max((b.side == planted).mean(), (b.side != planted).mean())
         assert agree >= 0.95
@@ -199,7 +237,7 @@ class TestMultilevelBisect:
         for _ in range(10):
             g = random_graph(100, 0.08, rng)
             lvl = random_matching_coarsen(g, rng)
-            b = bfs_initial_bisect(lvl.graph, rng=rng)
+            b = bfs_initial_bisect(lvl.graph, rng, kway2_bounds(g).target0)
             fine_side = b.side[lvl.match_map]
             assert edge_cut(g, fine_side) == edge_cut(lvl.graph, b.side) == b.cut
 
@@ -209,7 +247,7 @@ class TestPartitionKway:
         g = random_graph(20, 0.3, rng)
         p = partition_kway(g, 1, seed=0)
         assert p.part_sizes == [20]
-        assert edge_cut(g, p.assignment) == 0 or True  # K=1 cut is whole-graph internal
+        assert edge_cut(g, p.assignment) == 0
         assert (p.assignment == 0).all()
 
     def test_k_equals_n_singletons(self, rng):
