@@ -18,7 +18,6 @@ import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 import numpy as np
 
@@ -318,11 +317,16 @@ def _cmd_retrieve(args) -> int:
 def _cmd_bench(args) -> int:
     if args.no_timings:
         raise InvalidParameter("bench reports timings only; --no-timings does not apply to it")
+    # the CSV table goes next to the JSON report, with the suffix .csv
+    csv_path = os.path.splitext(args.output)[0] + ".csv" if args.output else None
+    if args.output and csv_path == args.output:
+        raise InvalidParameter(f"bench would write both its JSON report and its CSV table to {csv_path}; "
+                               "give --output a path that does not end in .csv")
     report = bench_mod.run_bench(args.sizes, d=args.d, k=args.k, K=args.K, M=args.budget,
                                  seed=args.seed, repeats=args.repeats, threads=args.threads)
     _write_json(args.output, report)
-    if args.output:
-        with open(Path(args.output).with_suffix(".csv"), "w", encoding="utf-8", newline="") as f:
+    if csv_path:
+        with open(csv_path, "w", encoding="utf-8", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=list(report["rows"][0]))
             writer.writeheader()
             writer.writerows(report["rows"])

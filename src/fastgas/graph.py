@@ -31,8 +31,6 @@ _KMEANS_ITERS = 3
 _KMEANS_SAMPLE = 16
 # Columns per strided group whose maximum raises a row's lo in the screen.
 _GROUP_COLUMNS = 16
-# Rows of a strip compared with their thresholds at once.
-_FILTER_ROWS = 64
 # Float64 elements per operand in one chunk of the kNN re-rank.
 _RERANK_CHUNK = 1 << 18
 
@@ -108,22 +106,16 @@ def graph_from_edges(
         vertex_weights = np.ones(n, dtype=np.int64)
     else:
         vertex_weights = np.asarray(vertex_weights, dtype=np.int64)
-    if len(edges):
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        wgt = np.concatenate([edges[:, 2], edges[:, 2]])
-        order = np.lexsort((dst, src))
-        src, dst, wgt = src[order], dst[order], wgt[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        indptr = np.cumsum(indptr)
-    else:
-        src = dst = wgt = np.empty(0, dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    # one stable sort of the key src·n + dst orders the entries by (src, dst)
+    order = np.argsort(src * n + dst, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return SimilarityGraph(
         indptr=indptr,
-        neighbors=dst,
-        edge_weights=wgt,
+        neighbors=dst[order],
+        edge_weights=np.concatenate([edges[:, 2], edges[:, 2]])[order],
         vertex_weights=vertex_weights,
         k=k,
     )
@@ -171,9 +163,15 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
     blocks to its right, in one product. Before its pairs are filtered, each
     row's lo rises with its maxima over strided groups of these columns and
     each column's with its maximum over these rows (partners that its lo
-    has not yet counted), and a pair is kept for each end whose lo it
-    reaches. Going from the last block, a column's lo has already risen
-    with its own strip. A last filter drops the pairs below the final lo.
+    has not yet counted). Each vertex tracks the smallest of the k largest
+    s32 it has seen, so only the columns whose maximum beats it are
+    updated. A pair is kept for each end whose lo it reaches. Such a pair
+    has s32 >= lo[i] >= the smallest lo of the rows, or s32 >= lo[j], and
+    s32 is at most column j's maximum; so only the live columns, whose
+    maximum reaches the smaller of those two, can hold one, and a strip
+    with few of them filters a copy of them alone. Going from the last
+    block, a column's lo has already risen with its own strip. A last
+    filter drops the pairs below the final lo.
 
     So each vertex's candidates are exactly its partners with s32 >= its
     final lo, the float64 top k among them. Let K be its k-th largest
@@ -319,9 +317,11 @@ def _knn_screen(unit32: np.ndarray, starts: np.ndarray, k: int, eps: float, thre
     bound = np.cos(np.maximum(alpha - theta, 0))
     bound = np.minimum(bound, bound.T)
 
-    # top[:, v]: the k largest s32 of v seen so far, each to a different
-    # partner; lo[v] never falls below their smallest minus eps, rounded down
-    top = np.empty((k, len(unit32)), dtype=np.float32)
+    # top[v]: the k largest s32 of v seen so far, each to a different
+    # partner; kth[v]: their smallest; lo[v] never falls below kth[v] minus
+    # eps, rounded down
+    top = np.empty((len(unit32), k), dtype=np.float32)
+    kth = np.empty(len(unit32), dtype=np.float32)
     lo = np.empty(len(unit32), dtype=np.float32)
     lo_min = np.empty(nb, dtype=np.float32)
     lock = threading.Lock()
@@ -357,7 +357,8 @@ def _knn_screen(unit32: np.ndarray, starts: np.ndarray, k: int, eps: float, thre
         largest = np.partition(s, w - k, axis=1)[:, w - k:]
         lo[rows] = _floor32(largest[:, 0].astype(np.float64) - eps)
         # the screen meets the nearest blocks again, so top takes the block's own pairs only
-        top[:, rows] = largest.T if w == b else -np.inf
+        top[rows] = largest if w == b else -np.inf
+        kth[rows] = largest[:, 0] if w == b else -np.inf
         r, j = np.divmod(np.flatnonzero(s[:, :b] >= lo[rows, None]), b)
         return (starts[a] + r).astype(np.int32), (starts[a] + j).astype(np.int32), s[r, j]
 
@@ -366,7 +367,10 @@ def _knn_screen(unit32: np.ndarray, starts: np.ndarray, k: int, eps: float, thre
         keeps, and the pairs at or above the lo of either end. Before the
         pairs are kept, each row's top takes in its maxima over strided
         groups of `_GROUP_COLUMNS` of these columns, and each column's its
-        maximum over these rows."""
+        maximum over these rows. Only the live columns, whose maximum
+        reaches their own lo or the smallest lo of the rows, can hold a
+        kept pair; where they are at most a quarter of the strip, a copy of
+        them alone is filtered."""
         rows = slice(starts[a], starts[a + 1])
         blocks = a + 1 + np.flatnonzero(bound[a, a + 1:] + eps / 2
                                         >= np.minimum(lo_min[a], lo_min[a + 1:]))
@@ -381,32 +385,30 @@ def _knn_screen(unit32: np.ndarray, starts: np.ndarray, k: int, eps: float, thre
         s = s[:, :len(cols)]
         cmax = s.max(axis=0)
         with lock:
-            row_top = np.partition(np.concatenate([top[:, rows].T, gmax], axis=1), groups, axis=1)
-            top[:, rows] = row_top[:, groups:].T
-            lo[rows] = np.maximum(lo[rows], _floor32(row_top[:, groups].astype(np.float64) - eps))
-            off = 0
-            for first, end in ranges:
-                col_top, new = top[:, first:end], cmax[off:off + end - first]
-                low = col_top.argmin(axis=0)
-                up = np.flatnonzero(new > col_top[low, np.arange(end - first)])
-                col_top[low[up], up] = new[up]
-                lo[first:end] = np.maximum(lo[first:end],
-                                           _floor32(col_top.min(axis=0).astype(np.float64) - eps))
-                off += end - first
+            row_top = np.partition(np.concatenate([top[rows], gmax], axis=1), groups, axis=1)
+            top[rows], kth[rows] = row_top[:, groups:], row_top[:, groups]
+            lo[rows] = np.maximum(lo[rows], _floor32(kth[rows].astype(np.float64) - eps))
+            # a column's top changes only where its maximum beats its k-th
+            beat = np.flatnonzero(cmax > kth[cols])
+            up = cols[beat]
+            top[up, top[up].argmin(axis=1)] = cmax[beat]
+            kth[up] = top[up].min(axis=1)
+            lo[up] = np.maximum(lo[up], _floor32(kth[up].astype(np.float64) - eps))
             lo_r, lo_c = lo[rows].copy(), lo[cols]
             lo_min[a] = lo_r.min()
             lo_min[blocks] = np.minimum.reduceat(lo_c, np.cumsum(sizes[blocks]) - sizes[blocks])
-        # rows in slices of _FILTER_ROWS bound the comparisons' temporaries
-        hit = np.concatenate([np.flatnonzero((s[i:i + _FILTER_ROWS] >= lo_r[i:i + _FILTER_ROWS, None])
-                                             | (s[i:i + _FILTER_ROWS] >= lo_c)) + i * len(cols)
-                              for i in range(0, len(s), _FILTER_ROWS)])
-        r, j = np.divmod(hit, len(cols))
-        val = s[r, j]
-        row_side, col_side = val >= lo_r[r], val >= lo_c[j]
-        r = (starts[a] + r).astype(np.int32)
-        return (np.concatenate([r[row_side], cols[j[col_side]]]),
-                np.concatenate([cols[j[row_side]], r[col_side]]),
-                np.concatenate([val[row_side], val[col_side]]))
+        # a kept pair has s >= lo_r[i] >= min(lo_r) or s >= lo_c[j], and
+        # s <= cmax[j]: only the live columns can hold one
+        live = np.flatnonzero(cmax >= np.minimum(lo_c, lo_r.min()))
+        # s[i, j] pairs the ends u[i] and w[j], whose lo are lu[i] and lw[j]
+        u, lu, w, lw = np.arange(starts[a], starts[a + 1], dtype=np.int32), lo_r, cols, lo_c
+        if 4 * len(live) <= len(cols):
+            # the live columns as rows, a copy of a quarter of the strip at most
+            s, u, lu, w, lw = s.T[live], cols[live], lo_c[live], u, lu
+        # the pairs kept for u, then for w: one comparison's temporary at a time
+        (ui, uj), (wi, wj) = (np.divmod(np.flatnonzero(s >= lo), s.shape[1]) for lo in (lu[:, None], lw))
+        return (np.concatenate([u[ui], w[wj]]), np.concatenate([w[uj], u[wi]]),
+                np.concatenate([s[ui, uj], s[wi, wj]]))
 
     workers = min(threads, nb)
 

@@ -223,6 +223,17 @@ def test_bench_rejects_no_timings(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["report.csv", "report.v2.csv"])
+def test_bench_refuses_a_json_path_that_is_its_csv_path(tmp_path, capsys, name):
+    # the CSV goes to the JSON path with the suffix .csv, which would
+    # overwrite a report whose path already has it
+    out = tmp_path / name
+    assert main(["bench", "--sizes", "60", "--budget", "6", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out.with_suffix(".csv")) in err and "Traceback" not in err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
 def test_bench_subcommand(tmp_path):
     out = tmp_path / "b.json"
     assert main(["bench", "--sizes", "200,400", "--budget", "20", "--K", "4",

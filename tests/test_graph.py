@@ -17,6 +17,7 @@ from fastgas.errors import EmptyVertexSet, FormatError, IndexOutOfRange, Invalid
 from fastgas.graph import (
     build_knn_graph,
     edge_cut,
+    graph_from_edges,
     graph_from_dict,
     graph_to_dict,
     induced_subgraph,
@@ -213,9 +214,15 @@ class TestKnnExactness:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_traced_peak_is_bounded_by_the_strip_budget(self):
+    @pytest.mark.parametrize("pool", ["clustered", "isotropic"])
+    def test_traced_peak_is_bounded_by_the_strip_budget(self, pool):
         n, d = 4096, 64
-        emb = generate_synthetic(n, d, 8, 0.5, seed=3)
+        if pool == "clustered":
+            emb = generate_synthetic(n, d, 8, 0.5, seed=3)
+        else:
+            # no block pair is skipped and most strip columns are live, so
+            # the screen filters most strips whole rather than a copy
+            emb = as_emb(np.random.default_rng(3).normal(size=(n, d)).astype(np.float32))
         tracemalloc.start()
         try:
             build_knn_graph(emb, 10)
@@ -224,8 +231,9 @@ class TestKnnExactness:
             tracemalloc.stop()
         # a strip holds at most _BLOCK_ROWS rows by n columns plus the
         # screen's group padding: the strip, the float32 rows, and the
-        # candidates with the filter's temporaries within a second strip; a
-        # float32 n x n array (16 strips) would not fit
+        # candidates with the filter's temporaries and its copy of the live
+        # columns within a second strip; a float32 n x n array (16 strips)
+        # would not fit
         strip = 4 * graph._BLOCK_ROWS * (n + graph._GROUP_COLUMNS)
         assert peak <= 2 * strip + n * d * 4
 
@@ -361,6 +369,51 @@ class TestBuildKnn:
             for g in (build_knn_graph(emb, 10, threads=t) for t in (1, 1, 4, 8))
         }
         assert len(blobs) == 1
+
+
+def reference_csr(n, edges):
+    """CSR arrays of the undirected weighted edge list `edges`, by a
+    lexsort of the (source, neighbour) entries and a count per vertex."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    src = np.concatenate([e[:, 0], e[:, 1]])
+    dst = np.concatenate([e[:, 1], e[:, 0]])
+    wgt = np.concatenate([e[:, 2], e[:, 2]])
+    order = np.lexsort((dst, src))
+    indptr = np.cumsum([0] + [int(np.count_nonzero(src == v)) for v in range(n)])
+    return indptr, dst[order], wgt[order]
+
+
+class TestGraphFromEdges:
+    @pytest.mark.parametrize("orientation", ["low-high", "high-low", "mixed"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference_on_shuffled_weighted_edges(self, seed, orientation):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        # the last vertex stays isolated
+        pairs = [(u, v) for u in range(n - 1) for v in range(u + 1, n - 1)]
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))[: int(rng.integers(0, len(pairs) + 1))]]
+        flip = {"low-high": np.zeros(len(pairs), dtype=bool), "high-low": np.ones(len(pairs), dtype=bool),
+                "mixed": rng.random(len(pairs)) < 0.5}[orientation]
+        edges = [(v, u, int(w)) if f else (u, v, int(w))
+                 for (u, v), f, w in zip(pairs, flip, rng.integers(1, 100, size=len(pairs)))]
+        self.check(n, edges)
+        assert graph_from_edges(n, edges).degree(n - 1) == 0
+
+    @pytest.mark.parametrize("n, edges", [(1, []), (5, []), (3, [(2, 0, 7)]), (4, [(3, 1, 2), (0, 3, 5)])])
+    def test_small_and_empty_edge_lists(self, n, edges):
+        self.check(n, edges)
+
+    @staticmethod
+    def check(n, edges):
+        g = graph_from_edges(n, edges)
+        indptr, nbrs, wgts = reference_csr(n, edges)
+        assert g.indptr.dtype == g.neighbors.dtype == g.edge_weights.dtype == np.int64
+        assert g.indptr.tolist() == indptr.tolist()
+        assert g.neighbors.tolist() == nbrs.tolist()
+        assert g.edge_weights.tolist() == wgts.tolist()
+        for v in range(n):
+            got = g.neighbors_of(v)[0]
+            assert got.tolist() == sorted(got.tolist())
 
 
 class TestDegree:
