@@ -1,10 +1,12 @@
 """Command-line pipeline: build-graph, partition, select, retrieve, bench, verify.
 
-Each subcommand's parser is its settings schema; `main` settles every setting
-once, before dispatch. Precedence: CLI flags > JSON config file (--config) >
-preset > `FASTGAS_SEED` (seed only) > the flag's default. A config key is the
-`dest` of one of the subcommand's optional flags (the flag name with `-`
-replaced by `_`), and its value must fit that flag's type and choices.
+Each subcommand's parser is its settings schema; `settle_args` settles every
+setting once, before dispatch. Precedence: CLI flags > JSON config file
+(--config) > preset > the flag's default; the environment sets nothing. A
+config key is the `dest` of one of the subcommand's optional flags (the flag
+name with `-` replaced by `_`), and its value must fit that flag's type and
+choices. The part cap (`partition.BALANCE_EPSILON`) and PageRank's damping,
+tolerance and step limit (`selection.PAGERANK_*`) are constants.
 Exit codes: 1 = input error, 2 = parameter error, 3 = internal invariant violation.
 """
 
@@ -25,12 +27,9 @@ from . import bench as bench_mod
 from .embeddings import load_embeddings
 from .errors import FastgasError, FormatError, InvalidParameter
 from .graph import build_knn_graph, graph_to_dict, load_graph
-from .partition import DEFAULT_EPSILON, partition_kway, partition_to_dict
+from .partition import partition_kway, partition_to_dict
 from .retrieval import retrieve_random, retrieve_similar
 from .selection import (
-    PAGERANK_DAMPING,
-    PAGERANK_MAX_ITERS,
-    PAGERANK_TOL,
     fastgas_select,
     pagerank_select,
     random_select,
@@ -75,7 +74,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp = command("partition", _cmd_partition, "balanced K-way partition of a graph file")
     sp.add_argument("--input", required=True, help="graph JSON from build-graph")
     sp.add_argument("--K", type=int, default=2)
-    sp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
 
     sp = command("select", _cmd_select, "run a selection strategy under a budget")
     sp.add_argument("--input", required=True,
@@ -87,9 +85,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--budget", type=int, default=18)
     sp.add_argument("--K", type=int, default=2)
     sp.add_argument("--embeddings", help="optional embeddings file to attach instance ids")
-    sp.add_argument("--damping", type=float, default=PAGERANK_DAMPING)
-    sp.add_argument("--tol", type=float, default=PAGERANK_TOL)
-    sp.add_argument("--max-iters", type=int, default=PAGERANK_MAX_ITERS)
 
     sp = command("retrieve", _cmd_retrieve, "build per-test prompt example orderings")
     sp.add_argument("--input", required=True, help="pool embeddings file")
@@ -99,7 +94,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--tests-format", choices=["jsonl", "binary"], help="default: --format")
     sp.add_argument("--mode", choices=["similar", "random"], default="similar")
     sp.add_argument("--m", type=int, default=5, help="examples per prompt")
-    sp.add_argument("--order", choices=["asc", "desc"], default="asc")
+    sp.add_argument("--order", choices=["asc", "desc"], default="asc",
+                    help="similar mode: asc puts the most similar example last")
 
     sp = command("bench", _cmd_bench, "time the pipeline and baselines on synthetic pools")
     sp.add_argument("--sizes", type=_int_list, default="1000,2000,4000,8000",
@@ -122,8 +118,8 @@ def _config_value(path: str, key: str, action: argparse.Action, value):
     """`value` converted as its flag converts it; an error names the file and key."""
     if isinstance(action.default, bool):
         kinds, want = (bool,), "true or false"
-    elif action.type in (int, float):
-        kinds, want = (int, action.type), "an integer" if action.type is int else "a number"
+    elif action.type is int:
+        kinds, want = (int,), "an integer"
     elif action.choices:
         kinds, want = (str,), "one of " + ", ".join(action.choices)
     else:
@@ -133,24 +129,18 @@ def _config_value(path: str, key: str, action: argparse.Action, value):
             value = action.type(value) if action.type else value
             if action.choices is None or value in action.choices:
                 return value
-    except (ValueError, OverflowError):
+    except ValueError:
         pass
     raise InvalidParameter(f"config {path}: key {key!r} must be {want}, got {value!r}")
 
 
 def _layer_defaults(sp: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Replace the defaults of `sp` with `FASTGAS_SEED`, then the preset, then
-    the config file, so that parsing the command line again gives each layer
-    its precedence. Config keys and values are checked against `sp`'s flags."""
+    """Replace the defaults of `sp` with the preset, then the config file, so
+    that parsing the command line again gives each layer its precedence.
+    Config keys and values are checked against `sp`'s flags."""
     flags = {a.dest: a for a in sp._actions if a.option_strings and not a.required
              and a.dest not in ("help", "config", "preset")}
     layers = {}
-    env = os.environ.get("FASTGAS_SEED")
-    if env is not None:
-        try:
-            layers["seed"] = int(env)
-        except ValueError:
-            raise InvalidParameter(f"FASTGAS_SEED must be an integer, got {env!r}") from None
     if args.preset:
         layers.update((k, v) for k, v in PRESETS[args.preset].items() if k in flags)
     if args.config:
@@ -257,7 +247,7 @@ def _cmd_build_graph(args) -> int:
     t0 = time.perf_counter()
     g = build_knn_graph(emb, args.k, threads=args.threads)
     ms = (time.perf_counter() - t0) * 1e3
-    out = graph_to_dict(g)
+    out = graph_to_dict(g, args.k)
     out["ids"] = emb.ids
     if not args.no_timings:
         out["timings_ms"] = {"knn": round(ms, 3)}
@@ -269,7 +259,7 @@ def _cmd_build_graph(args) -> int:
 def _cmd_partition(args) -> int:
     g = load_graph(args.input)
     timings: dict[str, float] = {}
-    part = partition_kway(g, args.K, args.seed, epsilon=args.epsilon, timings=timings)
+    part = partition_kway(g, args.K, args.seed, timings=timings)
     out = partition_to_dict(g, part, args.seed, timings=None if args.no_timings else timings)
     _write_json(args.output, out)
     return 0
@@ -296,13 +286,15 @@ def _cmd_select(args) -> int:
     elif args.method == "top-degree":
         res = top_degree_select(g, args.budget)
     else:
-        res = pagerank_select(g, args.budget, damping=args.damping, tol=args.tol,
-                              max_iters=args.max_iters)
+        res = pagerank_select(g, args.budget)
     _write_json(args.output, res.to_dict(ids=ids, with_timings=not args.no_timings))
     return 0
 
 
 def _cmd_retrieve(args) -> int:
+    if args.mode == "random" and args.order != "asc":
+        raise InvalidParameter(f"order {args.order} needs mode similar; mode random "
+                               "draws each test's examples in random order")
     pool = load_embeddings(args.input, args.format)
     selected = _load_selection(args.selection, pool.ids)
     tests = load_embeddings(args.tests, args.tests_format or args.format)
@@ -343,14 +335,22 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def settle_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Every setting of `argv`'s subcommand, from its flags, config file,
+    preset and defaults in that order. An argv that does not parse exits 2;
+    a bad config or `--threads` raises InvalidParameter."""
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
+    _layer_defaults(commands[args.command], args)
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        raise InvalidParameter(f"--threads must be at least 1, got {args.threads}")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        _layer_defaults(commands[args.command], args)
-        args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise InvalidParameter(f"--threads must be at least 1, got {args.threads}")
+        args = settle_args(argv)
         return args.run(args)
     except OSError as e:
         print(f"error: cannot open {e.filename or e}: {e.strerror}", file=sys.stderr)

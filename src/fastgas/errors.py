@@ -70,9 +70,5 @@ class EmptySelection(ParameterError):
     pass
 
 
-class NonConvergence(ParameterError):
-    """An iteration ran out of steps; the damping, tolerance or step limit is at fault."""
-
-
 class InternalError(FastgasError):
     pass

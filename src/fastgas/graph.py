@@ -41,7 +41,6 @@ class SimilarityGraph:
     neighbors: np.ndarray
     edge_weights: np.ndarray
     vertex_weights: np.ndarray
-    k: int | None = None
 
     def __post_init__(self):
         for a in (self.indptr, self.neighbors, self.edge_weights, self.vertex_weights):
@@ -89,12 +88,7 @@ class SimilarityGraph:
         return np.column_stack([src[mask], self.neighbors[mask], self.edge_weights[mask]])
 
 
-def graph_from_edges(
-    n: int,
-    edges,
-    vertex_weights=None,
-    k: int | None = None,
-) -> SimilarityGraph:
+def graph_from_edges(n: int, edges, vertex_weights=None) -> SimilarityGraph:
     """Build a SimilarityGraph from (u, v, w) triples with u != v.
 
     Each undirected edge appears once in `edges`; both directions are stored.
@@ -117,7 +111,6 @@ def graph_from_edges(
         neighbors=dst[order],
         edge_weights=np.concatenate([edges[:, 2], edges[:, 2]])[order],
         vertex_weights=vertex_weights,
-        k=k,
     )
 
 
@@ -245,7 +238,7 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
     dst = np.concatenate([c[above], bc[~rerank], rc[take]]).astype(np.int64)
     key = _unique_sorted(np.minimum(src, dst) * n + np.maximum(src, dst))
     edges = np.column_stack([key // n, key % n, np.ones(len(key), dtype=np.int64)])
-    return graph_from_edges(n, edges, k=k)
+    return graph_from_edges(n, edges)
 
 
 def _block_order(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -472,12 +465,13 @@ def edge_cut(g: SimilarityGraph, assignment) -> int:
     return int(g.edge_weights[mask].sum())
 
 
-def graph_to_dict(g: SimilarityGraph) -> dict:
-    """The graph's JSON document. `edges` is the (E, 3) int64 `edge_list()`,
-    which `cli._write_json` writes as a list of [u, v, weight] rows."""
+def graph_to_dict(g: SimilarityGraph, k: int) -> dict:
+    """The JSON document of `g`, the kNN graph built with `k` neighbors.
+    `edges` is the (E, 3) int64 `edge_list()`, which `cli._write_json`
+    writes as a list of [u, v, weight] rows."""
     return {
         "num_vertices": g.num_vertices,
-        "k": g.k,
+        "k": k,
         "edges": g.edge_list(),
         "vertex_weights": g.vertex_weights.tolist(),
     }
@@ -487,7 +481,8 @@ def graph_from_dict(d: dict) -> SimilarityGraph:
     """The graph of a graph JSON document; anything malformed raises FormatError.
 
     `num_vertices` is at least 1, `edges` is a list of [u, v, weight]
-    triples and `vertex_weights`, if given, a list of num_vertices numbers.
+    triples and `vertex_weights`, if given, a list of num_vertices numbers;
+    other keys, such as build-graph's `k`, are not read.
     Every number must be a JSON integer: a float, a numeric string, true or
     false is named and rejected."""
     try:
@@ -513,7 +508,7 @@ def graph_from_dict(d: dict) -> SimilarityGraph:
         vertex_weights = _integers(vertex_weights, d["vertex_weights"], d["vertex_weights"],
                                    "vertex weight")
     _check_edges(edges, n)
-    return graph_from_edges(n, edges, vertex_weights=vertex_weights, k=d.get("k"))
+    return graph_from_edges(n, edges, vertex_weights=vertex_weights)
 
 
 def _integers(arr: np.ndarray, entries: list, numbers, what: str) -> np.ndarray:

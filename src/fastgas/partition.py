@@ -29,7 +29,8 @@ from .errors import (
 )
 from .graph import SimilarityGraph, edge_cut, graph_from_edges, induced_subgraph
 
-DEFAULT_EPSILON = 0.03
+# METIS's default imbalance tolerance
+BALANCE_EPSILON = 0.03
 COARSEN_STOP_VERTICES = 100
 COARSEN_MIN_SHRINK = 0.10
 BFS_TRIALS = 10
@@ -318,10 +319,10 @@ def partition_kway(
     g: SimilarityGraph,
     K: int,
     seed: int,
-    epsilon: float = DEFAULT_EPSILON,
     timings: dict | None = None,
 ) -> Partition:
-    """Recursive bisection into K near-equal parts.
+    """Recursive bisection into K parts of at most
+    ceil(n/K)·(1 + BALANCE_EPSILON) vertices each.
 
     Left recursion branches receive ceil(K/2) parts and a proportional
     vertex-weight target; per-branch RNG streams derive from (seed, path) so
@@ -330,15 +331,13 @@ def partition_kway(
     n = g.num_vertices
     if not 1 <= K <= n:
         raise InvalidK(f"K must satisfy 1 <= K <= {n}, got {K}")
-    if not 0 <= epsilon < math.inf:
-        raise InvalidParameter(f"epsilon must be finite and at least 0, got {epsilon}")
     if (g.vertex_weights != 1).any():
         # the part cap below counts vertices
         raise InvalidParameter("K-way partitioning needs every vertex weight to be 1")
     t0 = time.perf_counter()
     assignment = np.zeros(n, dtype=np.int64)
     # global per-part weight cap, threaded through every bisection
-    part_cap = int(math.ceil(n / K) * (1 + epsilon))
+    part_cap = int(math.ceil(n / K) * (1 + BALANCE_EPSILON))
     next_part = [0]
 
     def recurse(sub: SimilarityGraph, mapping: np.ndarray, kt: int, path: tuple[int, ...]):

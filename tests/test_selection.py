@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from fastgas import selection
 from fastgas.embeddings import EmbeddingMatrix, generate_synthetic
-from fastgas.errors import BudgetExceedsPool, BudgetExceedsVertices, GraphTooLarge, InvalidK
+from fastgas.errors import (
+    BudgetExceedsPool,
+    BudgetExceedsVertices,
+    GraphTooLarge,
+    InternalError,
+    InvalidK,
+)
 from fastgas.graph import build_knn_graph, graph_from_edges
 from fastgas.selection import (
     allocate_quotas,
@@ -186,9 +193,11 @@ class TestPagerank:
         np.testing.assert_allclose(scores, 1 / 8, atol=1e-9)
         assert pagerank_select(g, 3).selected == [0, 1, 2]
 
-    def test_zero_damping_pure_teleport(self):
-        scores = pagerank_scores(path_graph(5), damping=0.0)
-        np.testing.assert_allclose(scores, 0.2, atol=1e-12)
+    def test_running_out_of_steps_is_internal(self, monkeypatch):
+        # at the fixed damping, PageRank converges long before its step limit
+        monkeypatch.setattr(selection, "PAGERANK_MAX_ITERS", 1)
+        with pytest.raises(InternalError, match="pagerank L1 change .* after 1 iterations"):
+            pagerank_scores(path_graph(5))
 
     def test_star_analytic_stationary(self):
         # star with 5 leaves: c = (1+5d)/(6(1+d)), leaves share the rest
