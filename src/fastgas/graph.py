@@ -33,6 +33,11 @@ _KMEANS_SAMPLE = 16
 _GROUP_COLUMNS = 16
 # Float64 elements per operand in one chunk of the kNN re-rank.
 _RERANK_CHUNK = 1 << 18
+# The largest block radius at which the screen takes the rows as residuals
+# from their blocks' centres. Centring shrinks the float32 product's error
+# to γ_d·radius² but adds float64 terms to every similarity: at radius 0.45
+# (the jsonl workload) they cost more than the smaller re-rank saves.
+_CENTRED_RADIUS = 0.25
 
 
 @dataclass(frozen=True)
@@ -129,11 +134,34 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
     vice versa. Similarity is the float64 dot product of the rows normalized
     in float64, and ties go to the lower index.
 
-    The search is exact. For unit rows a float32 similarity s32 lies within
-    eps/2 = (d+4)·2⁻²⁴/(1-d·2⁻²⁴) of the float64 one s64 (the dot-product
-    bound γ_d of Higham, Accuracy and Stability of Numerical Algorithms,
-    §3.1, plus the rounding of the rows); the same holds for a row and any
-    unit vector rounded to float32.
+    The search is exact: it screens float32 similarities s32 whose
+    distance to s64, the float64 one, is bounded.
+
+    Rows. `_block_order` orders the rows by a cheap k-means and cuts them
+    into blocks. A block's centre c is the normalized sum of its unit rows
+    x̂, or its first row if that sum is 0, and its radius the largest
+    |x̂ - c| of its rows. If every block's radius is at most 1/4, each row
+    is screened as its residual r = x̂ - z from z = c, its block's centre;
+    otherwise as itself, with z = 0, r = x̂ and radius 1 (one eps serves all
+    pairs, so centring some blocks would not shrink it). The similarity of
+    row i of block a and row j of block b is then x̂_i·x̂_j = r_i·r_j +
+    r_i·z_b + z_a·r_j + z_a·z_b: the float32 product of the residuals
+    rounded to float32, plus, when centred, the other three terms in
+    float64, added to it in one rounding to float32.
+
+    Error. Let ρ be the largest radius and u = 2⁻²⁴. Rounding a residual to
+    float32 moves its row by at most u·ρ, which moves a similarity by at
+    most 2u·ρ + u²·ρ². The float32 product of the rounded residuals adds at
+    most γ_d·(1 + u)²·ρ², with γ_d = d·u/(1 - d·u) the dot-product bound
+    of Higham, Accuracy and Stability of Numerical Algorithms, §3.1
+    (`_rounding_error`). Adding the float64 terms to a sum of size at most
+    1 plus that error adds u times that size. With 2u of slack for the
+    float64 roundings, each of about d·2⁻⁵³, s32 lies within eps/2 of s64,
+    eps/2 being the sum of these terms. Uncentred, ρ is 1, no float64
+    terms are added, and eps/2 is the plain bound of unit rows, about
+    (d+4)·u/(1-d·u). Centring shrinks the product's error from γ_d to
+    γ_d·ρ²: on tight clusters eps is tens of times smaller, and so is the
+    band re-ranked below.
 
     Thresholds. Each vertex v keeps a threshold lo[v]: the k-th largest s32
     of v to k different partners it has been compared with, minus eps,
@@ -142,12 +170,12 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
     has s32 >= lo[v], whichever product computed it: a pair below lo[v] at
     any time can be dropped from v's side.
 
-    Screen. `_block_order` orders the rows by a cheap k-means and cuts them
-    into blocks. Each block is first compared with itself, widened to its
+    Screen. Each block is first compared with itself, widened to its
     nearest blocks when it has k rows or fewer; that sets its rows' lo and
     keeps its own pairs at or above them. For two blocks A and B, let α be
-    the smallest angle of a row of A to B's unit centre ĉ and θ the largest
-    of a row of B to ĉ, both from float32 products padded by eps/2. By the
+    the smallest angle of a row of A to B's centre ĉ and θ the largest of a
+    row of B to ĉ, both from the float64 products of ĉ and the screened
+    rows z + r (within u·ρ of the rows) padded by eps/2. By the
     triangle inequality every pair of A × B has s64 <= cos(max(0, α - θ)),
     and the bound is the smaller of that and its mirror through A's centre.
     A pair of blocks whose bound + eps/2 lies below the lo of all their rows
@@ -182,24 +210,10 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
     if k < 1 or k >= n:
         raise InvalidK(f"k must satisfy 1 <= k <= N-1, got k={k}, N={n}")
     vecs = emb.vectors
-    chunk = max(1, _RERANK_CHUNK // d)
-    norms = np.empty(n)
-    for start in range(0, n, chunk):
-        rows = slice(start, start + chunk)
-        norms[rows] = np.linalg.norm(vecs[rows].astype(np.float64), axis=1)
     perm, starts = _block_order(vecs)
-    unit32 = np.empty((n, d), dtype=np.float32)
-    for start in range(0, n, chunk):
-        rows = perm[start:start + chunk]
-        unit32[start:start + chunk] = np.divide(vecs[rows], norms[rows, None])
-
-    # eps is twice (d+4)·u/(1-d·u), which bounds |float32 - float64 similarity|
-    # of unit rows while d·u < 1/2: γ_d for the float32 dot product, 2·u for
-    # rounding the rows to float32, and slack for the second-order terms.
-    u = 2.0**-24
-    eps = 2 * (d + 4) * u / (1 - d * u)
-    found = _knn_screen(unit32, starts, k, eps, threads)
-    del unit32
+    norms, centres, radius, res = _screen_rows(vecs, perm, starts)
+    found, eps = _knn_screen(res, centres, radius, starts, k, threads)
+    del res
     v, c, sim = (np.concatenate(x) for x in zip(*found))
     del found
     perm = perm.astype(np.int32)
@@ -222,6 +236,7 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
     order = np.argsort(rv, kind="stable")
     rv, rc = rv[order], rc[order]
     # a chunk normalizes each of its vertices' rows once, for all their pairs
+    chunk = max(1, _RERANK_CHUNK // d)
     s64 = np.empty(len(rv))
     for i in range(0, len(rv), chunk):
         j = slice(i, i + chunk)
@@ -283,39 +298,92 @@ def _floor32(x: np.ndarray) -> np.ndarray:
     return np.where(y > x, np.nextafter(y, np.float32(-np.inf)), y)
 
 
-def _knn_screen(unit32: np.ndarray, starts: np.ndarray, k: int, eps: float, threads: int) -> list:
+def _rounding_error(d: int, rho: float) -> float:
+    """A bound on |s - x̂_i·x̂_j| for rows x̂ of norm at most 1 screened as
+    float32 residuals r = x̂ - z of norm at most rho from float64 centres z,
+    where s is the float32 product of the residuals plus the float64 terms
+    r_i·z_b + z_a·r_j + z_a·z_b taken exactly. Rounding a residual moves
+    its row by at most u·rho, so the similarity by at most 2u·rho + u²·rho²;
+    the float32 product of the rounded residuals adds at most
+    γ_d·(1 + u)²·rho² (Higham, Accuracy and Stability of Numerical
+    Algorithms, §3.1), with u = 2⁻²⁴ and γ_d = d·u/(1 - d·u)."""
+    u = 2.0**-24
+    return d * u / (1 - d * u) * (1 + u) ** 2 * rho**2 + 2 * u * rho + u * u * rho**2
+
+
+def _screen_rows(vecs: np.ndarray, perm: np.ndarray, starts: np.ndarray) -> tuple:
+    """The float64 norms of the rows of `vecs`; the centres and radii of the
+    blocks [starts[a], starts[a+1]) of their unit rows taken in the order
+    `perm`; and, in that order, the rows the screen multiplies, in float32.
+    A block's centre is its normalized row sum, or its first row if that is
+    0, and its radius the largest distance of a row to the centre. One eps
+    serves every pair, so centring pays only if every block's radius is at
+    most _CENTRED_RADIUS: then each row is screened as its residual from its
+    block's centre, else as itself."""
+    (n, d), nb = vecs.shape, len(starts) - 1
+    norms = np.empty(n)
+    centres = np.empty((nb, d))
+    radius = np.empty(nb)
+    res = np.empty((n, d), dtype=np.float32)
+    r = np.empty((np.diff(starts).max(), d))
+    for a in range(nb):
+        rows = perm[starts[a]:starts[a + 1]]
+        x = vecs[rows].astype(np.float64)
+        norms[rows] = np.linalg.norm(x, axis=1)
+        x /= norms[rows, None]
+        total = x.sum(axis=0)
+        norm = np.linalg.norm(total)
+        centres[a] = total / norm if norm > 0 else x[0]
+        ra = np.subtract(x, centres[a], out=r[:len(x)])
+        radius[a] = np.sqrt(np.einsum("ij,ij->i", ra, ra).max())
+        res[starts[a]:starts[a + 1]] = ra if radius[a] <= _CENTRED_RADIUS else x
+    if radius.max() > _CENTRED_RADIUS:
+        for a in np.flatnonzero(radius <= _CENTRED_RADIUS):
+            rows = perm[starts[a]:starts[a + 1]]
+            res[starts[a]:starts[a + 1]] = np.divide(vecs[rows], norms[rows, None])
+    return norms, centres, radius, res
+
+
+def _knn_screen(res: np.ndarray, centres: np.ndarray, radius: np.ndarray, starts: np.ndarray,
+                k: int, threads: int) -> tuple[list, float]:
     """The float32 screen of `build_knn_graph` over the blocks [starts[i],
-    starts[i+1]) of the rows: pieces of int32 vertices, int32 partners and
-    float32 similarities, among them every pair with s32 >= the vertex's lo."""
-    nb = len(starts) - 1
+    starts[i+1]) of the rows `res` from `_screen_rows`, with the blocks'
+    centres and radii: pieces of int32 vertices, int32 partners and float32
+    similarities, among them every pair with s32 >= the vertex's lo, and
+    eps."""
+    nb, d = len(starts) - 1, res.shape[1]
     sizes = np.diff(starts)
 
-    # a block's centre is its normalized row sum, or its first row if that is 0
-    cent = np.array([unit32[starts[a]:starts[a + 1]].sum(axis=0, dtype=np.float64)
-                     for a in range(nb)])
-    zero = np.linalg.norm(cent, axis=1) == 0
-    cent[zero] = unit32[starts[:-1][zero]]
-    cent = (cent / np.linalg.norm(cent, axis=1)[:, None]).astype(np.float32)
-    # near[a, b]: the largest s32 of a row of block a to the centre of b;
-    # far[b]: the smallest of a row of b to its own centre
-    near = np.empty((nb, nb), dtype=np.float32)
-    far = np.empty(nb, dtype=np.float32)
-    for a in range(nb):
-        g = unit32[starts[a]:starts[a + 1]] @ cent.T
-        near[a], far[a] = g.max(axis=0), g[:, a].min()
-    # the angles to a centre, within eps/2 of their s32, bound every float64
+    centred = radius.max() <= _CENTRED_RADIUS
+    # zc[a, b]: z_a·z_b, with z the centres if centred, else 0
+    zc = centres @ centres.T if centred else np.zeros((nb, nb))
+
+    # eps/2 bounds |s32 - s64| (see build_knn_graph): _rounding_error for
+    # the largest radius, the rounding of the float64 terms' sum, and 2u of
+    # slack
+    u = 2.0**-24
+    err = _rounding_error(d, radius.max() if centred else 1)
+    eps = 2 * (err + (u * (1 + err) if centred else 0) + 2 * u)
+    # near[a, b]: the largest similarity of a screened row z + r of block a
+    # to the centre of b; far[b]: the smallest of a row of b to its own
+    # centre; within eps/2 of those of the rows, they bound every float64
     # similarity between two blocks through the triangle inequality
-    alpha = np.arccos(np.clip(near.astype(np.float64) + eps / 2, -1, 1))
-    theta = np.arccos(np.clip(far.astype(np.float64) - eps / 2, -1, 1))
+    near = np.empty((nb, nb))
+    far = np.empty(nb)
+    for a in range(nb):
+        g = res[starts[a]:starts[a + 1]] @ centres.T + zc[a]
+        near[a], far[a] = g.max(axis=0), g[:, a].min()
+    alpha = np.arccos(np.clip(near + eps / 2, -1, 1))
+    theta = np.arccos(np.clip(far - eps / 2, -1, 1))
     bound = np.cos(np.maximum(alpha - theta, 0))
     bound = np.minimum(bound, bound.T)
 
     # top[v]: the k largest s32 of v seen so far, each to a different
     # partner; kth[v]: their smallest; lo[v] never falls below kth[v] minus
     # eps, rounded down
-    top = np.empty((len(unit32), k), dtype=np.float32)
-    kth = np.empty(len(unit32), dtype=np.float32)
-    lo = np.empty(len(unit32), dtype=np.float32)
+    top = np.empty((len(res), k), dtype=np.float32)
+    kth = np.empty(len(res), dtype=np.float32)
+    lo = np.empty(len(res), dtype=np.float32)
     lo_min = np.empty(nb, dtype=np.float32)
     lock = threading.Lock()
 
@@ -324,17 +392,29 @@ def _knn_screen(unit32: np.ndarray, starts: np.ndarray, k: int, eps: float, thre
         cut = np.flatnonzero(np.diff(blocks) != 1) + 1
         return list(zip(starts[blocks[np.r_[0, cut]]], starts[blocks[np.r_[cut, len(blocks)] - 1] + 1]))
 
-    def gemm(a: int, ranges: list, buf: np.ndarray, group: int = 1) -> np.ndarray:
-        """Similarities of block a's rows to the rows in `ranges`, in `buf`,
-        one product per range; -inf pads the columns to a multiple of `group`."""
-        rows = unit32[starts[a]:starts[a + 1]]
-        width = sum(end - first for first, end in ranges)
+    def gemm(a: int, blocks: np.ndarray, buf: np.ndarray, group: int = 1) -> np.ndarray:
+        """Similarities of block a's rows to the rows of `blocks`, in `buf`:
+        the float32 product of the residuals, one per run of consecutive
+        blocks, plus, if the blocks are centred, the float64 terms in one
+        rounding; -inf pads the columns to a multiple of `group`."""
+        rows = res[starts[a]:starts[a + 1]]
+        width = sizes[blocks].sum()
         s = buf[: len(rows) * -(-width // group) * group].reshape(len(rows), -1)
         s[:, width:] = -np.inf
         off = 0
-        for first, end in ranges:
-            np.matmul(rows, unit32[first:end].T, out=s[:, off:off + end - first])
+        for first, end in spans(blocks):
+            np.matmul(rows, res[first:end].T, out=s[:, off:off + end - first])
             off += end - first
+        if centred:
+            # r_i·c_b + c_a·c_b of each row i and block b, plus c_a·r_j of
+            # each column j, which for block a itself is its row's first term
+            row = rows @ centres[blocks].T + zc[a, blocks]
+            off = 0
+            for i, b in enumerate(blocks):
+                cols = s[:, off:off + sizes[b]]
+                off += sizes[b]
+                col = row[:, i] - zc[a, a] if b == a else res[starts[b]:starts[b + 1]] @ centres[a]
+                np.add(cols, np.add.outer(row[:, i], col), out=cols, casting="same_kind")
         return s
 
     def thresholds(a: int, buf: np.ndarray):
@@ -343,7 +423,7 @@ def _knn_screen(unit32: np.ndarray, starts: np.ndarray, k: int, eps: float, thre
         at or above their row's lo."""
         nearest = np.argsort(-bound[a], kind="stable")
         nearest = np.concatenate([[a], nearest[nearest != a]])
-        s = gemm(a, spans(nearest[: np.searchsorted(np.cumsum(sizes[nearest]), k + 1) + 1]), buf)
+        s = gemm(a, nearest[: np.searchsorted(np.cumsum(sizes[nearest]), k + 1) + 1], buf)
         b, w = sizes[a], s.shape[1]
         s[np.arange(b), np.arange(b)] = -np.inf
         rows = slice(starts[a], starts[a + 1])
@@ -369,12 +449,11 @@ def _knn_screen(unit32: np.ndarray, starts: np.ndarray, k: int, eps: float, thre
                                         >= np.minimum(lo_min[a], lo_min[a + 1:]))
         if not len(blocks):
             return ()
-        ranges = spans(blocks)
-        s = gemm(a, ranges, buf, _GROUP_COLUMNS)
+        s = gemm(a, blocks, buf, _GROUP_COLUMNS)
         # column j goes to group j % groups
         groups = s.shape[1] // _GROUP_COLUMNS
         gmax = s.reshape(len(s), _GROUP_COLUMNS, groups).max(axis=1)
-        cols = np.concatenate([np.arange(first, end, dtype=np.int32) for first, end in ranges])
+        cols = np.concatenate([np.arange(first, end, dtype=np.int32) for first, end in spans(blocks)])
         s = s[:, :len(cols)]
         cmax = s.max(axis=0)
         with lock:
@@ -419,13 +498,13 @@ def _knn_screen(unit32: np.ndarray, starts: np.ndarray, k: int, eps: float, thre
                 per_worker = list(ex.map(work, range(workers)))
         return [x for w in per_worker for x in w if len(x)]
 
-    found = run(thresholds, min(len(unit32), k + 1 + sizes.max()))
+    found = run(thresholds, min(len(res), k + 1 + sizes.max()))
     lo_min[:] = np.minimum.reduceat(lo, starts[:-1])
-    found += run(screen, len(unit32) + _GROUP_COLUMNS)
+    found += run(screen, len(res) + _GROUP_COLUMNS)
     for i, (v, c, sim) in enumerate(found):
         keep = sim >= lo[v]
         found[i] = v[keep], c[keep], sim[keep]
-    return found
+    return found, eps
 
 
 def induced_subgraph(g: SimilarityGraph, vertices) -> tuple[SimilarityGraph, np.ndarray]:

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -73,24 +74,63 @@ def knn_edges(emb, k, threads=1, block_rows=None):
     return {tuple(e[:2]) for e in g.edge_list().tolist()}
 
 
+def screened(emb, k, block_rows=None):
+    """The float32 similarities of the screen's candidate pairs, their
+    float64 similarities, and the screen's eps."""
+    rows = graph._BLOCK_ROWS if block_rows is None else block_rows
+    got = {}
+    screen_rows, screen = graph._screen_rows, graph._knn_screen
+
+    def capture_rows(vecs, perm, starts):
+        got["perm"] = perm
+        return screen_rows(vecs, perm, starts)
+
+    def capture(*args):
+        got["found"], got["eps"] = screen(*args)
+        return got["found"], got["eps"]
+
+    with mock.patch.object(graph, "_BLOCK_ROWS", rows), mock.patch.object(graph, "_screen_rows", capture_rows), \
+            mock.patch.object(graph, "_knn_screen", capture):
+        build_knn_graph(emb, k)
+    x = emb.vectors.astype(np.float64)
+    unit = (x / np.linalg.norm(x, axis=1)[:, None])[got["perm"]]
+    v, c, s32 = (np.concatenate(x) for x in zip(*got["found"]))
+    return s32.astype(np.float64), np.einsum("ij,ij->i", unit[v], unit[c]), got["eps"]
+
+
 def small_blocks(n):
     """A block size that cuts an n-row pool into four or more blocks."""
     return max(1, n // 4)
 
 
 @contextlib.contextmanager
-def counted_similarities():
-    """Counts the similarities the kNN screen computes: every product it
-    writes into a buffer through `np.matmul(..., out=...)`."""
-    count = [0]
-    matmul = np.matmul
+def counted_work():
+    """Counts the kNN's work: "similarities", every product the screen
+    writes into a buffer through `np.matmul(..., out=...)`; "corrected",
+    every similarity it adds float64 terms to through `np.add(...,
+    casting="same_kind")`; and "reranked", the pairs the float64 re-rank
+    sorts with `np.lexsort`."""
+    count = {"similarities": 0, "corrected": 0, "reranked": 0}
+    matmul, add, lexsort = np.matmul, np.add, np.lexsort
 
-    def counting(a, b, out=None):
+    def counting_matmul(a, b, out=None):
         if out is not None:
-            count[0] += out.size
+            count["similarities"] += out.size
         return matmul(a, b, out=out)
 
-    with mock.patch.object(graph.np, "matmul", counting):
+    def counting_add(a, b, out=None, **kwargs):
+        if kwargs.get("casting") == "same_kind":
+            count["corrected"] += out.size
+        return add(a, b, out=out, **kwargs)
+
+    def counting_lexsort(keys):
+        count["reranked"] += len(keys[0])
+        return lexsort(keys)
+
+    counting_add.outer = add.outer
+    with mock.patch.object(graph.np, "matmul", counting_matmul), \
+            mock.patch.object(graph.np, "add", counting_add), \
+            mock.patch.object(graph.np, "lexsort", counting_lexsort):
         yield count
 
 
@@ -120,6 +160,48 @@ def knn_inputs(draw):
     return as_emb(x), draw(st.integers(1, n - 1))
 
 
+def tight_clusters(rng, n, d, spreads):
+    """n float32 rows round-robin over clusters around random unit centres,
+    cluster c spread `spreads[c]` in total (spread/sqrt(d) a coordinate)."""
+    centres = rng.normal(size=(len(spreads), d))
+    centres /= np.linalg.norm(centres, axis=1)[:, None]
+    labels = np.arange(n) % len(spreads)
+    noise = rng.normal(size=(n, d)) * (np.asarray(spreads)[labels] / np.sqrt(d))[:, None]
+    return (centres[labels] + noise).astype(np.float32)
+
+
+@st.composite
+def tight_knn_inputs(draw):
+    """Pools of tight clusters, which the screen takes as residuals from
+    their blocks' centres: spreads from 1e-4 to 0.3, sometimes mixed with a
+    broad cluster; duplicated rows, rows one float32 ulp apart, a row on
+    the pool's mean direction (the centre of a one-block pool, so its
+    residual is about 0) and antipodal rows."""
+    n = draw(st.integers(2, 70))
+    d = draw(st.sampled_from([1, 2, 8, 64, 768]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spreads = draw(st.lists(st.sampled_from([1e-4, 1e-3, 0.01, 0.1, 0.3]), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        spreads.append(1.5)
+    x = tight_clusters(rng, n, d, spreads)
+    for _ in range(draw(st.integers(0, n // 4 + 1))):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["copy", "ulp", "centre", "antipodal"]))
+        if kind == "centre":
+            unit = x.astype(np.float64) / np.linalg.norm(x.astype(np.float64), axis=1)[:, None]
+            mean = unit.sum(axis=0)
+            if np.linalg.norm(mean) > 0:
+                x[dst] = mean / np.linalg.norm(mean)
+        elif kind == "antipodal":
+            x[dst] = -x[src]
+        else:
+            x[dst] = x[src]
+            if kind == "ulp":
+                c = src % d
+                x[dst, c] = np.nextafter(x[dst, c], np.float32(np.inf))
+    return as_emb(x), draw(st.integers(1, n - 1))
+
+
 class TestKnnExactness:
     @settings(max_examples=60, deadline=None)
     @given(knn_inputs())
@@ -130,6 +212,25 @@ class TestKnnExactness:
         # several blocks: the bound, the screen's raised thresholds and the
         # final filter all take part
         assert knn_edges(emb, k, block_rows=small_blocks(emb.n)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(tight_knn_inputs())
+    def test_tight_clusters_match_per_row_oracle(self, case):
+        # the centred path: residuals from the blocks' centres plus the
+        # float64 terms, with one and several blocks, one and three workers
+        emb, k = case
+        expected = per_row_knn_oracle(emb, k)
+        for threads in (1, 3):
+            assert knn_edges(emb, k, threads) == expected
+            assert knn_edges(emb, k, threads, block_rows=small_blocks(emb.n)) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(tight_knn_inputs())
+    def test_screened_similarities_lie_within_half_eps(self, case):
+        emb, k = case
+        for rows in (None, small_blocks(emb.n)):
+            s32, s64, eps = screened(emb, k, rows)
+            assert np.all(np.abs(s32 - s64) <= eps / 2)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(3, 14), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -202,23 +303,30 @@ class TestKnnExactness:
 
     def test_many_workers_on_a_short_switch_interval(self):
         # the workers share the tops and thresholds of the vertices: a lost
-        # or crossed update that broke a threshold would change the graph
-        x = np.random.default_rng(8).normal(size=(3000, 8)).astype(np.float32)
-        emb = as_emb(x)
-        expected = per_row_knn_oracle(emb, 5)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            # about 60 blocks of up to 64 rows
-            assert knn_edges(emb, 5, threads=8, block_rows=64) == expected
-        finally:
-            sys.setswitchinterval(interval)
+        # or crossed update that broke a threshold would change the graph;
+        # an isotropic pool, and a tight one that the screen centres
+        rng = np.random.default_rng(8)
+        for x in (rng.normal(size=(3000, 8)).astype(np.float32),
+                  tight_clusters(rng, 3000, 8, [0.02, 0.05, 0.1])):
+            emb = as_emb(x)
+            expected = per_row_knn_oracle(emb, 5)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                # about 60 blocks of up to 64 rows
+                assert knn_edges(emb, 5, threads=8, block_rows=64) == expected
+            finally:
+                sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("pool", ["clustered", "isotropic"])
+    @pytest.mark.parametrize("pool", ["clustered", "isotropic", "tight"])
     def test_traced_peak_is_bounded_by_the_strip_budget(self, pool):
         n, d = 4096, 64
         if pool == "clustered":
             emb = generate_synthetic(n, d, 8, 0.5, seed=3)
+        elif pool == "tight":
+            # every block is centred: the float64 terms of a strip are
+            # added block by block
+            emb = as_emb(tight_clusters(np.random.default_rng(3), n, d, [0.1] * 8))
         else:
             # no block pair is skipped and most strip columns are live, so
             # the screen filters most strips whole rather than a copy
@@ -246,9 +354,9 @@ class TestKnnExactness:
         x = np.eye(64, dtype=np.float32)[np.arange(800) % 8] * 3
         x += rng.normal(0, 0.05, size=x.shape).astype(np.float32)
         emb = as_emb(x)
-        with counted_similarities() as count:
+        with counted_work() as count:
             got = knn_edges(emb, 10, threads, block_rows=32)
-        assert count[0] < 0.3 * 800 * 800 / 2
+        assert count["similarities"] < 0.3 * 800 * 800 / 2
         assert got == per_row_knn_oracle(emb, 10)
 
     @pytest.mark.parametrize("threads", [1, 8])
@@ -257,10 +365,27 @@ class TestKnnExactness:
         # computes at least the whole upper triangle
         x = np.random.default_rng(12).normal(size=(600, 32)).astype(np.float32)
         emb = as_emb(x)
-        with counted_similarities() as count:
+        with counted_work() as count:
             got = knn_edges(emb, 10, threads, block_rows=32)
-        assert count[0] >= 600 * 599 / 2
+        assert count["similarities"] >= 600 * 599 / 2
+        # every block is broad, so the screen adds no float64 terms
+        assert count["corrected"] == 0
         assert got == per_row_knn_oracle(emb, 10)
+
+    def test_centred_screen_narrows_the_rerank_band(self):
+        # four tight clusters (spread 0.05, radius about 0.07): every block
+        # is centred, and eps, about 2·γ_d·rho² + 6u instead of 2·γ_d + 8u,
+        # leaves a small fraction of the pairs in the float64 re-rank; the
+        # plain screen (no block centred) finds the same graph
+        x = tight_clusters(np.random.default_rng(21), 2000, 768, [0.05] * 4)
+        emb = as_emb(x)
+        with counted_work() as centred:
+            got = knn_edges(emb, 10)
+        with mock.patch.object(graph, "_CENTRED_RADIUS", -1.0), counted_work() as plain:
+            assert knn_edges(emb, 10) == got
+        assert centred["corrected"] == centred["similarities"] > 0
+        assert plain["corrected"] == 0
+        assert centred["reranked"] <= 0.02 * plain["reranked"]
 
     @pytest.mark.parametrize("k", [3, 12, 40])
     def test_blocks_of_k_rows_or_fewer(self, k):
@@ -302,6 +427,43 @@ class TestKnnExactness:
         four = build_knn_graph(emb, 10, threads=4).edge_list()
         assert np.array_equal(one, four)
         assert {tuple(e[:2]) for e in one.tolist()} == per_row_knn_oracle(emb, 10)
+
+
+class TestRoundingError:
+    @staticmethod
+    def error(xi, xj, z):
+        """|s - x̂_i·x̂_j| in exact arithmetic, s the screen's similarity of
+        the float64 rows xi and xj with centre z: the float32 product of
+        the float32 residuals plus r_i·z + z·r_j + z·z."""
+        xi, xj, z = (np.atleast_1d(np.float64(v)) for v in (xi, xj, z))
+        ri, rj = (xi - z).astype(np.float32), (xj - z).astype(np.float32)
+
+        def exact(a, b):
+            return sum((Fraction(float(p)) * Fraction(float(q)) for p, q in zip(a, b)), Fraction(0))
+
+        g = Fraction(float(np.matmul(ri, rj)))
+        terms = exact(ri, z) + exact(z, rj) + exact(z, z)
+        return abs(g + terms - exact(xi, xj)), max(np.linalg.norm(xi - z), np.linalg.norm(xj - z))
+
+    def test_bound_holds_for_maximal_residual_roundings(self):
+        # d = 1, centre 1, rows 1 - t whose residual -t lies just inside
+        # the midpoint above 1/4, so it rounds to -1/4 by almost u: the
+        # rows move by u·rho each, and the error, 3/8·u, exceeds the float32
+        # product's share γ_1·(1 + u)²·rho² = u/16 of the bound
+        t = 0.25 * (1 + 2.0**-24 - 2.0**-50)
+        err, rho = self.error(1 - t, 1 - t, 1.0)
+        assert err == pytest.approx(0.375 * 2.0**-24, rel=1e-6)
+        assert err <= graph._rounding_error(1, rho)
+
+    @pytest.mark.parametrize("d", [2, 8, 64, 768])
+    def test_bound_holds_for_random_tight_rows(self, d):
+        rng = np.random.default_rng(d)
+        for spread in (1e-4, 0.01, 0.3):
+            z = rng.normal(size=d)
+            z /= np.linalg.norm(z)
+            xi, xj = (v / np.linalg.norm(v) for v in z + rng.normal(size=(2, d)) * spread / np.sqrt(d))
+            err, rho = self.error(xi, xj, z)
+            assert err <= graph._rounding_error(d, rho)
 
 
 class TestBuildKnn:
