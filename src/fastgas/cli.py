@@ -242,26 +242,34 @@ def _load_selection(path: str, ids: list[str]) -> list[int]:
     return selected
 
 
+def _timed(call):
+    """`call()` and its wall time in ms."""
+    t0 = time.perf_counter()
+    return call(), (time.perf_counter() - t0) * 1e3
+
+
+def _write_output(args, out: dict, name: str, ms: float) -> None:
+    """Write `out` to `args.output`, with the `ms` of its one library call as
+    `timings_ms.<name>` unless `--no-timings` is set."""
+    if not args.no_timings:
+        out["timings_ms"] = {name: round(ms, 3)}
+    _write_json(args.output, out)
+
+
 def _cmd_build_graph(args) -> int:
     emb = load_embeddings(args.input, args.format)
-    t0 = time.perf_counter()
-    g = build_knn_graph(emb, args.k, threads=args.threads)
-    ms = (time.perf_counter() - t0) * 1e3
+    g, ms = _timed(lambda: build_knn_graph(emb, args.k, threads=args.threads))
     out = graph_to_dict(g, args.k)
     out["ids"] = emb.ids
-    if not args.no_timings:
-        out["timings_ms"] = {"knn": round(ms, 3)}
-    _write_json(args.output, out)
+    _write_output(args, out, "knn", ms)
     print(f"N={g.num_vertices} |E|={g.num_edges} build_ms={ms:.1f}", file=sys.stderr)
     return 0
 
 
 def _cmd_partition(args) -> int:
     g = load_graph(args.input)
-    timings: dict[str, float] = {}
-    part = partition_kway(g, args.K, args.seed, timings=timings)
-    out = partition_to_dict(g, part, args.seed, timings=None if args.no_timings else timings)
-    _write_json(args.output, out)
+    part, ms = _timed(lambda: partition_kway(g, args.K, args.seed))
+    _write_output(args, partition_to_dict(g, part, args.seed), "partition", ms)
     return 0
 
 
@@ -277,17 +285,14 @@ def _cmd_select(args) -> int:
         if len(ids) != n:
             raise FormatError(f"{args.embeddings}: {len(ids)} embeddings for the "
                               f"{n} vertices of {args.input}")
-    if args.method == "subcluster":
-        res = subcluster_select(emb, args.K, args.budget, args.seed)
-    elif args.method == "fastgas":
-        res = fastgas_select(g, args.K, args.budget, args.seed)
-    elif args.method == "random":
-        res = random_select(n, args.budget, args.seed)
-    elif args.method == "top-degree":
-        res = top_degree_select(g, args.budget)
-    else:
-        res = pagerank_select(g, args.budget)
-    _write_json(args.output, res.to_dict(ids=ids, with_timings=not args.no_timings))
+    res, ms = _timed({
+        "subcluster": lambda: subcluster_select(emb, args.K, args.budget, args.seed),
+        "fastgas": lambda: fastgas_select(g, args.K, args.budget, args.seed),
+        "random": lambda: random_select(n, args.budget, args.seed),
+        "top-degree": lambda: top_degree_select(g, args.budget),
+        "pagerank": lambda: pagerank_select(g, args.budget),
+    }[args.method])
+    _write_output(args, res.to_dict(ids=ids), "select", ms)
     return 0
 
 
@@ -299,10 +304,11 @@ def _cmd_retrieve(args) -> int:
     selected = _load_selection(args.selection, pool.ids)
     tests = load_embeddings(args.tests, args.tests_format or args.format)
     if args.mode == "similar":
-        plan = retrieve_similar(pool, selected, tests, args.m, order=args.order)
+        plan, ms = _timed(lambda: retrieve_similar(pool, selected, tests, args.m, order=args.order))
     else:
-        plan = retrieve_random([pool.ids[i] for i in selected], tests.ids, args.m, args.seed)
-    _write_json(args.output, plan.to_dict())
+        ids = [pool.ids[i] for i in selected]
+        plan, ms = _timed(lambda: retrieve_random(ids, tests.ids, args.m, args.seed))
+    _write_output(args, plan.to_dict(), "retrieve", ms)
     return 0
 
 
@@ -326,9 +332,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = bench_mod.run_verify(max_n=args.max_n, max_budget=args.max_budget,
-                                  instances=args.instances, seed=args.seed)
-    _write_json(args.output, report)
+    report, ms = _timed(lambda: bench_mod.run_verify(max_n=args.max_n, max_budget=args.max_budget,
+                                                     instances=args.instances, seed=args.seed))
+    _write_output(args, report, "verify", ms)
     print(f"exact-optimal {report['exact_optimal']}/{report['instances']}"
           f" min_ratio={report['min_ratio']} argmax_violations={report['argmax_violations']}",
           file=sys.stderr)

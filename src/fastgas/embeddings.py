@@ -95,14 +95,16 @@ def _load_jsonl(path: str) -> EmbeddingMatrix:
     """Parse one JSON object per line into float32 rows, `_JSONL_CHUNK` at a time.
 
     A chunk whose vectors numpy reads as one 2-D numeric array of the file's
-    width skips the per-record checks. Any other chunk, and the records
-    before a line that fails, are checked record by record, so the first bad
-    record in file order is the one named.
+    width skips the per-record checks, unless a line of it holds a `u` or an
+    `f`, as `true` and `false` do: numpy reads [1, true] as a number. Any
+    other chunk, and the records before a line that fails, are checked
+    record by record, so the first bad record in file order is the one named.
     """
     ids: list[str] = []
     blocks: list[np.ndarray] = []
     pending: list[tuple[int, object]] = []  # (line number, vector) not yet converted
     dim = None
+    maybe_bool = False  # a pending line might hold true or false
     # surrogateescape keeps a bad byte on its line, where it can be named
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for i, line in enumerate(f):
@@ -123,10 +125,12 @@ def _load_jsonl(path: str) -> EmbeddingMatrix:
                 raise FormatError(f"record {i}: expected object with 'id' and 'vector'")
             ids.append(str(obj["id"]))
             pending.append((i, obj["vector"]))
+            maybe_bool = maybe_bool or "u" in line or "f" in line
             if len(pending) == _JSONL_CHUNK:
-                dim = _convert_records(pending, dim, blocks)
+                dim = _convert_records(pending, dim, blocks, maybe_bool)
+                maybe_bool = False
         if pending:
-            _convert_records(pending, dim, blocks)
+            _convert_records(pending, dim, blocks, maybe_bool)
     if not blocks:
         raise FormatError(f"{path}: no records")
     vectors = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
@@ -137,7 +141,7 @@ def _load_jsonl(path: str) -> EmbeddingMatrix:
 def _check_records(pending: list, dim: int | None) -> int | None:
     """The per-record vector checks; raises at the first bad record, else returns the width."""
     for i, vec in pending:
-        if not isinstance(vec, list) or not all(isinstance(x, (int, float)) for x in vec):
+        if not isinstance(vec, list) or not all(type(x) in (int, float) for x in vec):
             raise FormatError(f"record {i}: 'vector' must be an array of numbers")
         if dim is None:
             dim = len(vec)
@@ -146,14 +150,15 @@ def _check_records(pending: list, dim: int | None) -> int | None:
     return dim
 
 
-def _convert_records(pending: list, dim: int | None, blocks: list) -> int:
-    """Append the pending vectors to `blocks` as one float32 block; returns the width."""
+def _convert_records(pending: list, dim: int | None, blocks: list, maybe_bool: bool) -> int:
+    """Append the pending vectors to `blocks` as one float32 block; returns
+    the width. `maybe_bool` sends them through the per-record checks."""
     rows = [vec for _, vec in pending]
     try:
         arr = np.array(rows)
     except ValueError:  # ragged or nested
         arr = None
-    if (arr is None or arr.ndim != 2 or arr.dtype.kind not in "biuf"
+    if (maybe_bool or arr is None or arr.ndim != 2 or arr.dtype.kind not in "iuf"
             or dim is not None and arr.shape[1] != dim):
         dim = _check_records(pending, dim)
         try:

@@ -563,7 +563,9 @@ def graph_from_dict(d: dict) -> SimilarityGraph:
     triples and `vertex_weights`, if given, a list of num_vertices numbers;
     other keys, such as build-graph's `k`, are not read.
     Every number must be a JSON integer: a float, a numeric string, true or
-    false is named and rejected."""
+    false is named and rejected, as is a negative weight."""
+    if type(d) is not dict:
+        raise FormatError("bad graph JSON: expected a JSON object")
     try:
         n = d["num_vertices"]
         edges = np.asarray(d["edges"])
@@ -586,6 +588,10 @@ def graph_from_dict(d: dict) -> SimilarityGraph:
             raise FormatError(f"bad graph JSON: vertex_weights must be a list of {n} integers")
         vertex_weights = _integers(vertex_weights, d["vertex_weights"], d["vertex_weights"],
                                    "vertex weight")
+        negative = np.flatnonzero(vertex_weights < 0)
+        if negative.size:
+            j = negative[0]
+            raise FormatError(f"bad graph JSON: vertex weight {j} {vertex_weights[j]}: negative")
     _check_edges(edges, n)
     return graph_from_edges(n, edges, vertex_weights=vertex_weights)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,10 +283,8 @@ def multilevel_bisect(
     g: SimilarityGraph,
     rng: np.random.Generator,
     bounds: SideBounds,
-    timings: dict | None = None,
 ) -> Bisection:
     """Coarsen, bisect the coarsest graph, project back with refinement."""
-    t0 = time.perf_counter()
     levels: list[CoarseningLevel] = []
     cur = g
     while cur.num_vertices > COARSEN_STOP_VERTICES:
@@ -296,31 +293,17 @@ def multilevel_bisect(
             break
         levels.append(lvl)
         cur = lvl.graph
-    t1 = time.perf_counter()
 
     b = bfs_initial_bisect(cur, rng, target0=bounds.target0)
-    t2 = time.perf_counter()
-
     b = refine_kl(cur, b, bounds=bounds)
     # level i was coarsened from fine_graphs[i]
     fine_graphs = [g] + [lvl.graph for lvl in levels[:-1]]
     for lvl, fine_g in zip(reversed(levels), reversed(fine_graphs)):
         b = refine_kl(fine_g, Bisection(side=b.side[lvl.match_map], cut=b.cut), bounds=bounds)
-    t3 = time.perf_counter()
-
-    if timings is not None:
-        timings["coarsen"] = timings.get("coarsen", 0.0) + (t1 - t0) * 1e3
-        timings["init_bisect"] = timings.get("init_bisect", 0.0) + (t2 - t1) * 1e3
-        timings["refine"] = timings.get("refine", 0.0) + (t3 - t2) * 1e3
     return b
 
 
-def partition_kway(
-    g: SimilarityGraph,
-    K: int,
-    seed: int,
-    timings: dict | None = None,
-) -> Partition:
+def partition_kway(g: SimilarityGraph, K: int, seed: int) -> Partition:
     """Recursive bisection into K parts of at most
     ceil(n/K)·(1 + BALANCE_EPSILON) vertices each.
 
@@ -334,7 +317,6 @@ def partition_kway(
     if (g.vertex_weights != 1).any():
         # the part cap below counts vertices
         raise InvalidParameter("K-way partitioning needs every vertex weight to be 1")
-    t0 = time.perf_counter()
     assignment = np.zeros(n, dtype=np.int64)
     # global per-part weight cap, threaded through every bisection
     part_cap = int(math.ceil(n / K) * (1 + BALANCE_EPSILON))
@@ -358,7 +340,7 @@ def partition_kway(
             target0=w * kl / kt,
         )
         rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, *path])
-        b = multilevel_bisect(sub, rng, bounds=bounds, timings=timings)
+        b = multilevel_bisect(sub, rng, bounds=bounds)
         left = np.nonzero(b.side == 0)[0]
         right = np.nonzero(b.side == 1)[0]
         if len(left) == 0 or len(right) == 0:
@@ -372,10 +354,6 @@ def partition_kway(
                 recurse(csub, mapping[cmap], kc, path + (tag,))
 
     recurse(g, np.arange(n, dtype=np.int64), K, ())
-    if timings is not None:
-        timings["partition_total"] = timings.get("partition_total", 0.0) + (
-            time.perf_counter() - t0
-        ) * 1e3
 
     part = Partition(assignment=assignment, K=K)
     sizes = part.part_sizes
@@ -386,14 +364,11 @@ def partition_kway(
     return part
 
 
-def partition_to_dict(g: SimilarityGraph, p: Partition, seed: int, timings: dict | None = None) -> dict:
-    d = {
+def partition_to_dict(g: SimilarityGraph, p: Partition, seed: int) -> dict:
+    return {
         "K": p.K,
         "seed": seed,
         "assignment": p.assignment.tolist(),
         "cut": edge_cut(g, p.assignment),
         "part_sizes": p.part_sizes,
     }
-    if timings is not None:
-        d["timings_ms"] = {key: round(val, 3) for key, val in timings.items()}
-    return d

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,7 @@ from .errors import (
     InvalidK,
 )
 from .graph import SimilarityGraph, induced_subgraph
-from .partition import partition_kway
+from .partition import Partition, partition_kway
 
 BRUTE_FORCE_MAX_VERTICES = 24
 PAGERANK_DAMPING = 0.85
@@ -36,10 +35,9 @@ class SelectionResult:
     per_part: dict[int, list[int]] = field(default_factory=dict)
     K: int | None = None
     seed: int | None = None
-    timings_ms: dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self, ids: list[str] | None = None, with_timings: bool = True) -> dict:
-        d = {
+    def to_dict(self, ids: list[str] | None = None) -> dict:
+        return {
             "method": self.method,
             "budget": self.budget,
             "K": self.K,
@@ -48,9 +46,6 @@ class SelectionResult:
             "selected_ids": [ids[i] for i in self.selected] if ids is not None else None,
             "per_part": {str(p): v for p, v in self.per_part.items()},
         }
-        if with_timings:
-            d["timings_ms"] = {k: round(v, 3) for k, v in self.timings_ms.items()}
-        return d
 
 
 def greedy_select(sub: SimilarityGraph, n: int) -> list[int]:
@@ -149,60 +144,48 @@ def fastgas_select(g: SimilarityGraph, K: int, M: int, seed: int) -> SelectionRe
         raise InvalidK(f"K must satisfy 1 <= K <= {n}, got {K}")
     if not 1 <= M <= n:
         raise BudgetExceedsPool(f"budget {M} outside [1, {n}]")
-    timings: dict[str, float] = {}
-    part = partition_kway(g, K, seed, timings=timings)
+    return select_per_part(g, partition_kway(g, K, seed), M, seed)
 
-    t0 = time.perf_counter()
-    sizes = part.part_sizes
-    quotas = allocate_quotas(sizes, M)
+
+def select_per_part(g: SimilarityGraph, part: Partition, M: int, seed: int) -> SelectionResult:
+    """Pick each part's quota of the budget M by residual degree inside the
+    part; `seed` is the one the partition was made with."""
+    quotas = allocate_quotas(part.part_sizes, M)
     selected: list[int] = []
     per_part: dict[int, list[int]] = {}
-    for p in range(K):
+    for p in range(part.K):
         members = np.nonzero(part.assignment == p)[0]
         sub, mapping = induced_subgraph(g, members)
         picks = [int(mapping[v]) for v in greedy_select(sub, quotas[p])]
         per_part[p] = picks
         selected.extend(picks)
-    timings["select"] = (time.perf_counter() - t0) * 1e3
-    timings["total"] = timings.get("partition_total", 0.0) + timings["select"]
     return SelectionResult(
         selected=selected,
         method="fastgas",
         budget=M,
         per_part=per_part,
-        K=K,
+        K=part.K,
         seed=seed,
-        timings_ms=timings,
     )
 
 
 def random_select(N: int, M: int, seed: int) -> SelectionResult:
     if not 0 <= M <= N:
         raise BudgetExceedsPool(f"budget {M} outside [0, {N}]")
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     picks = rng.choice(N, size=M, replace=False).tolist()
-    ms = (time.perf_counter() - t0) * 1e3
-    return SelectionResult(
-        selected=picks, method="random", budget=M, seed=seed,
-        timings_ms={"select": ms, "total": ms},
-    )
+    return SelectionResult(selected=picks, method="random", budget=M, seed=seed)
 
 
 def top_degree_select(g: SimilarityGraph, M: int) -> SelectionResult:
     """Static baseline: the M highest-degree vertices, no residual updates."""
     if not 0 <= M <= g.num_vertices:
         raise BudgetExceedsPool(f"budget {M} outside [0, {g.num_vertices}]")
-    t0 = time.perf_counter()
     deg = np.diff(g.indptr)
     idx = np.arange(g.num_vertices)
     order = np.lexsort((idx, -deg))
     picks = order[:M].tolist()
-    ms = (time.perf_counter() - t0) * 1e3
-    return SelectionResult(
-        selected=picks, method="top-degree", budget=M,
-        timings_ms={"select": ms, "total": ms},
-    )
+    return SelectionResult(selected=picks, method="top-degree", budget=M)
 
 
 def pagerank_scores(g: SimilarityGraph) -> np.ndarray:
@@ -235,16 +218,11 @@ def pagerank_scores(g: SimilarityGraph) -> np.ndarray:
 def pagerank_select(g: SimilarityGraph, M: int) -> SelectionResult:
     if not 0 <= M <= g.num_vertices:
         raise BudgetExceedsPool(f"budget {M} outside [0, {g.num_vertices}]")
-    t0 = time.perf_counter()
     scores = pagerank_scores(g)
     idx = np.arange(g.num_vertices)
     order = np.lexsort((idx, -scores))
     picks = order[:M].tolist()
-    ms = (time.perf_counter() - t0) * 1e3
-    return SelectionResult(
-        selected=picks, method="pagerank", budget=M,
-        timings_ms={"select": ms, "total": ms},
-    )
+    return SelectionResult(selected=picks, method="pagerank", budget=M)
 
 
 def lloyd_kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +273,6 @@ def subcluster_select(E: EmbeddingMatrix, K: int, M: int, seed: int) -> Selectio
                                 f"per cluster; got budget {M}")
     if M > n:
         raise BudgetExceedsPool(f"budget {M} outside [{K}, {n}]")
-    t0 = time.perf_counter()
     x = E.vectors.astype(np.float64)
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     labels, _ = lloyd_kmeans(x, K, rng)
@@ -318,8 +295,6 @@ def subcluster_select(E: EmbeddingMatrix, K: int, M: int, seed: int) -> Selectio
         picks.sort()
         per_part[c] = picks
         selected.extend(picks)
-    ms = (time.perf_counter() - t0) * 1e3
     return SelectionResult(
-        selected=selected, method="subcluster", budget=M, per_part=per_part,
-        K=K, seed=seed, timings_ms={"select": ms, "total": ms},
+        selected=selected, method="subcluster", budget=M, per_part=per_part, K=K, seed=seed,
     )

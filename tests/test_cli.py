@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import io
 import json
 import re
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -69,7 +71,7 @@ def test_full_pipeline_and_determinism(workspace):
                      "--no-timings", "-o", str(tmp / f"s_{tag}.json")]) == 0
         assert main(["retrieve", "--input", str(pool), "--selection", str(tmp / "s_a.json"),
                      "--tests", str(tests), "--tests-format", "binary", "--m", "3",
-                     "--seed", "7", "-o", str(tmp / f"r_{tag}.json")]) == 0
+                     "--seed", "7", "--no-timings", "-o", str(tmp / f"r_{tag}.json")]) == 0
     for stem in ("p", "s", "r"):
         assert (tmp / f"{stem}_a.json").read_bytes() == (tmp / f"{stem}_b.json").read_bytes()
 
@@ -293,17 +295,6 @@ def test_write_json_writes_int_arrays_as_lists(shape, chunk):
     assert buf.getvalue() == json.dumps({"edges": rows, "n": [rows]}, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("timings", [[], ["--no-timings"]])
-def test_build_graph_output_is_indented_json(workspace, timings):
-    tmp, pool, _ = workspace
-    out = tmp / "g.json"
-    assert main(["build-graph", "--input", str(pool), "--k", "5", *timings, "-o", str(out)]) == 0
-    text = out.read_text(encoding="utf-8")
-    doc = json.loads(text)
-    assert ("timings_ms" in doc) == (not timings)
-    assert text == json.dumps(doc, indent=2) + "\n"
-
-
 @pytest.fixture
 def built(workspace):
     tmp, pool, tests = workspace
@@ -320,7 +311,40 @@ def _argv(command, tmp, pool, tests):
         "retrieve": ["retrieve", "--input", str(pool), "--tests", str(tests),
                      "--tests-format", "binary", "--selection", str(tmp / "s.json")],
         "bench": ["bench", "--sizes", "100"],
+        "partition": ["partition", "--input", str(tmp / "g.json")],
+        "verify": ["verify", "--max-n", "5", "--instances", "3"],
     }[command]
+
+
+@pytest.mark.parametrize("timings", [[], ["--no-timings"]])
+@pytest.mark.parametrize("command, call", [
+    ("build-graph", "knn"), ("partition", "partition"), ("select", "select"),
+    ("retrieve", "retrieve"), ("verify", "verify"),
+])
+def test_output_times_its_one_library_call(built, command, call, timings):
+    """Each output file is indented JSON whose `timings_ms` holds the wall
+    time of the command's one library call, and nothing under --no-timings."""
+    tmp, pool, tests = built
+    out = tmp / "out.json"
+    assert main([*_argv(command, tmp, pool, tests), *timings, "-o", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    if timings:
+        assert "timings_ms" not in doc
+    else:
+        assert list(doc["timings_ms"]) == [call] and doc["timings_ms"][call] >= 0
+
+
+def test_only_the_cli_and_bench_read_a_clock():
+    """Timing stays out of the library: no other module imports `time`."""
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        modules |= {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 0}
+        assert ("time" in modules) == (path.name in ("cli.py", "bench.py")), path.name
 
 
 @pytest.mark.parametrize("command, text, words", [

@@ -93,7 +93,7 @@ def _reference_load_jsonl(path: str) -> EmbeddingMatrix:
             if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
                 raise FormatError(f"record {i}: expected object with 'id' and 'vector'")
             vec = obj["vector"]
-            if not isinstance(vec, list) or not all(isinstance(x, (int, float)) for x in vec):
+            if not isinstance(vec, list) or not all(type(x) in (int, float) for x in vec):
                 raise FormatError(f"record {i}: 'vector' must be an array of numbers")
             if dim is None:
                 dim = len(vec)
@@ -221,7 +221,8 @@ class TestJsonlParity:
             _assert_parity(jsonl_path)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    @pytest.mark.parametrize("bad", [None, "string", "ragged", "invalid-json", "non-object", "null"])
+    @pytest.mark.parametrize("bad", [None, "string", "ragged", "invalid-json", "non-object", "null",
+                                     "true", "false"])
     def test_chunk_boundaries(self, tmp_path, offset, bad):
         chunk = embeddings._JSONL_CHUNK
         n = chunk + offset
@@ -238,6 +239,10 @@ class TestJsonlParity:
             lines[j] = "[1, 2, 3, 4]"
         elif bad == "null":
             lines[j] = json.dumps({"id": "x", "vector": [1, None, 3, 4]})
+        elif bad == "true":  # numpy reads the chunk as int64
+            lines[j] = json.dumps({"id": "x", "vector": [1, True, 3, 4]})
+        elif bad == "false":  # numpy reads the chunk as float64
+            lines[j] = json.dumps({"id": "x", "vector": [0.5, False, 3, 4]})
         p = tmp_path / "e.jsonl"
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         _assert_parity(p)

@@ -691,9 +691,12 @@ class TestSerialization:
         ([0, 1, 1], None, "edges must be a list of [u, v, weight] triples"),
         ([[[0, 1, 1]]], None, "edges must be a list of [u, v, weight] triples"),
         ([[[0, 1, True]]], None, "edges must be a list of [u, v, weight] triples"),
+        ([[0, 1, 1]], [1, 1, -1], "vertex weight 2 -1: negative"),
+        # edges None: the document is a JSON array, not an object
+        (None, None, "bad graph JSON: expected a JSON object"),
     ])
     def test_malformed_graph_names_the_edge(self, edges, vertex_weights, words):
-        doc = {"num_vertices": 3, "k": 1, "edges": edges}
+        doc = [1, 2] if edges is None else {"num_vertices": 3, "k": 1, "edges": edges}
         if vertex_weights is not None:
             doc["vertex_weights"] = vertex_weights
         with pytest.raises(FormatError) as e:

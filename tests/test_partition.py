@@ -24,9 +24,9 @@ def kway2_bounds(g):
     seen = []
     bisect = partition.multilevel_bisect
 
-    def spy(sub, rng, bounds, timings=None):
+    def spy(sub, rng, bounds):
         seen.append(bounds)
-        return bisect(sub, rng, bounds, timings)
+        return bisect(sub, rng, bounds)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partition, "multilevel_bisect", spy)
