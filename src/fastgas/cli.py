@@ -7,7 +7,6 @@ config key is the `dest` of one of the subcommand's optional flags (the flag
 name with `-` replaced by `_`), and its value must fit that flag's type and
 choices. The part cap (`partition.BALANCE_EPSILON`) and PageRank's damping,
 tolerance and step limit (`selection.PAGERANK_*`) are constants.
-Exit codes: 1 = input error, 2 = parameter error, 3 = internal invariant violation.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, FormatError, InvalidParameter, ZeroVector
+from .errors import FormatError, InvalidParameter
 
 _MAGIC = b"FGEM"
 _VERSION = 1
@@ -123,7 +123,10 @@ def _load_jsonl(path: str) -> EmbeddingMatrix:
             if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
                 _check_records(pending, dim)
                 raise FormatError(f"record {i}: expected object with 'id' and 'vector'")
-            ids.append(str(obj["id"]))
+            if not isinstance(obj["id"], str):
+                _check_records(pending, dim)
+                raise FormatError(f"record {i}: 'id' must be a string")
+            ids.append(obj["id"])
             pending.append((i, obj["vector"]))
             maybe_bool = maybe_bool or "u" in line or "f" in line
             if len(pending) == _JSONL_CHUNK:
@@ -243,9 +246,9 @@ def cosine_similarity(u, v) -> float:
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
-        raise DimensionMismatch(f"dim {u.shape} != {v.shape}")
+        raise InvalidParameter(f"dim {u.shape} != {v.shape}")
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
-        raise ZeroVector("cosine similarity undefined for zero vectors")
+        raise FormatError("cosine similarity undefined for zero vectors")
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))

@@ -1,74 +1,28 @@
-"""Exception hierarchy. ``exit_code`` maps onto the CLI's exit convention:
-1 = input error, 2 = parameter error, 3 = internal invariant violation."""
+"""Errors: one class per exit code. `cli.main` prints the message and exits
+with the class's code.
+
+1, FormatError: a malformed input, such as an embedding, graph or selection
+   file that breaks its format, a zero vector, pool and test vectors of
+   different dimensions, or a vertex weight other than 1 given to the
+   K-way partitioner.
+2, InvalidParameter: a setting or argument out of range, such as k, K, a
+   budget, m, a vertex index or a config key, or a selection with no
+   instances.
+3, InternalError: the program broke one of its own invariants.
+"""
 
 
 class FastgasError(Exception):
-    exit_code = 3
+    exit_code: int
 
 
-class InputError(FastgasError):
+class FormatError(FastgasError):
     exit_code = 1
 
 
-class ParameterError(FastgasError):
+class InvalidParameter(FastgasError):
     exit_code = 2
 
 
-class FormatError(InputError):
-    """Malformed embedding or graph file; message names the offending record."""
-
-
-class ZeroVector(InputError):
-    """A vector with zero norm has no cosine direction."""
-
-
-class InvalidParameter(ParameterError):
-    pass
-
-
-class DimensionMismatch(ParameterError):
-    pass
-
-
-class InvalidK(ParameterError):
-    pass
-
-
-class IndexOutOfRange(ParameterError):
-    pass
-
-
-class EmptyVertexSet(ParameterError):
-    pass
-
-
-class PartitionMismatch(ParameterError):
-    pass
-
-
-class GraphTooSmall(ParameterError):
-    pass
-
-
-class GraphTooLarge(ParameterError):
-    pass
-
-
-class InvalidBisection(ParameterError):
-    pass
-
-
-class BudgetExceedsVertices(ParameterError):
-    pass
-
-
-class BudgetExceedsPool(ParameterError):
-    pass
-
-
-class EmptySelection(ParameterError):
-    pass
-
-
 class InternalError(FastgasError):
-    pass
+    exit_code = 3

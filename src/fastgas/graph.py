@@ -15,13 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .embeddings import EmbeddingMatrix
-from .errors import (
-    EmptyVertexSet,
-    FormatError,
-    IndexOutOfRange,
-    InvalidK,
-    PartitionMismatch,
-)
+from .errors import FormatError, InvalidParameter
 
 # Rows per block of the kNN screen; the k-means that orders the rows has
 # about n / _BLOCK_ROWS centres.
@@ -69,7 +63,7 @@ class SimilarityGraph:
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.num_vertices:
-            raise IndexOutOfRange(f"vertex {v} out of range [0, {self.num_vertices})")
+            raise InvalidParameter(f"vertex {v} out of range [0, {self.num_vertices})")
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def degrees(self) -> np.ndarray:
@@ -78,7 +72,7 @@ class SimilarityGraph:
     def neighbors_of(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted neighbor indices of v and the matching edge weights."""
         if not 0 <= v < self.num_vertices:
-            raise IndexOutOfRange(f"vertex {v} out of range [0, {self.num_vertices})")
+            raise InvalidParameter(f"vertex {v} out of range [0, {self.num_vertices})")
         lo, hi = self.indptr[v], self.indptr[v + 1]
         return self.neighbors[lo:hi], self.edge_weights[lo:hi]
 
@@ -208,7 +202,7 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
     """
     n, d = emb.n, emb.dim
     if k < 1 or k >= n:
-        raise InvalidK(f"k must satisfy 1 <= k <= N-1, got k={k}, N={n}")
+        raise InvalidParameter(f"k must satisfy 1 <= k <= N-1, got k={k}, N={n}")
     vecs = emb.vectors
     perm, starts = _block_order(vecs)
     norms, centres, radius, res = _screen_rows(vecs, perm, starts)
@@ -511,9 +505,9 @@ def induced_subgraph(g: SimilarityGraph, vertices) -> tuple[SimilarityGraph, np.
     """Subgraph on `vertices` plus the sub-index -> original-index mapping."""
     mapping = _unique_sorted(np.asarray(list(vertices), dtype=np.int64))
     if mapping.size == 0:
-        raise EmptyVertexSet("induced_subgraph needs a nonempty vertex set")
+        raise InvalidParameter("induced_subgraph needs a nonempty vertex set")
     if mapping[0] < 0 or mapping[-1] >= g.num_vertices:
-        raise IndexOutOfRange(f"vertex set outside [0, {g.num_vertices})")
+        raise InvalidParameter(f"vertex set outside [0, {g.num_vertices})")
     member = np.zeros(g.num_vertices, dtype=bool)
     member[mapping] = True
     # gather only the members' adjacency slices (cost is their edges, not |E|)
@@ -536,7 +530,7 @@ def edge_cut(g: SimilarityGraph, assignment) -> int:
     """Total weight of edges whose endpoints lie in different parts."""
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape != (g.num_vertices,):
-        raise PartitionMismatch(
+        raise InvalidParameter(
             f"assignment covers {assignment.shape} vertices, graph has {g.num_vertices}"
         )
     src = g.sources()

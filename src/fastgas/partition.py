@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GraphTooSmall,
-    InternalError,
-    InvalidBisection,
-    InvalidK,
-    InvalidParameter,
-)
+from .errors import FormatError, InternalError, InvalidParameter
 from .graph import SimilarityGraph, edge_cut, graph_from_edges, induced_subgraph
 
 # METIS's default imbalance tolerance
@@ -75,7 +69,7 @@ def random_matching_coarsen(g: SimilarityGraph, rng: np.random.Generator) -> Coa
     """
     n = g.num_vertices
     if n < 2:
-        raise GraphTooSmall(f"cannot coarsen a graph with {n} vertices")
+        raise InvalidParameter(f"cannot coarsen a graph with {n} vertices")
     coarse_id = np.full(n, -1, dtype=np.int64)
     indptr, nbrs = g.indptr, g.neighbors
     cid = 0
@@ -118,7 +112,7 @@ def bfs_initial_bisect(
     (earlier trial wins ties)."""
     n = g.num_vertices
     if n < 2:
-        raise GraphTooSmall(f"cannot bisect a graph with {n} vertices")
+        raise InvalidParameter(f"cannot bisect a graph with {n} vertices")
     weights = g.vertex_weights
     best: Bisection | None = None
     starts = rng.integers(0, n, size=BFS_TRIALS)
@@ -181,7 +175,7 @@ def refine_kl(
     n = g.num_vertices
     side = np.asarray(b.side, dtype=np.int8).copy()
     if side.shape != (n,) or not np.isin(side, (0, 1)).all():
-        raise InvalidBisection("side flags must cover every vertex with values in {0,1}")
+        raise InvalidParameter("side flags must cover every vertex with values in {0,1}")
     weights = g.vertex_weights
     maxw = int(weights.max()) if n else 1
     sw = [int(weights[side == 0].sum()), int(weights[side == 1].sum())]
@@ -313,10 +307,10 @@ def partition_kway(g: SimilarityGraph, K: int, seed: int) -> Partition:
     """
     n = g.num_vertices
     if not 1 <= K <= n:
-        raise InvalidK(f"K must satisfy 1 <= K <= {n}, got {K}")
+        raise InvalidParameter(f"K must satisfy 1 <= K <= {n}, got {K}")
     if (g.vertex_weights != 1).any():
         # the part cap below counts vertices
-        raise InvalidParameter("K-way partitioning needs every vertex weight to be 1")
+        raise FormatError("K-way partitioning needs every vertex weight to be 1")
     assignment = np.zeros(n, dtype=np.int64)
     # global per-part weight cap, threaded through every bisection
     part_cap = int(math.ceil(n / K) * (1 + BALANCE_EPSILON))

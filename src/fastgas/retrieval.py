@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingMatrix
-from .errors import DimensionMismatch, EmptySelection, IndexOutOfRange, InvalidParameter
+from .errors import FormatError, InvalidParameter
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,16 @@ def retrieve_similar(
     example comes last (adjacent to the test input in the prompt).
     """
     if not selected:
-        raise EmptySelection("no selected instances to retrieve from")
+        raise InvalidParameter("no selected instances to retrieve from")
     if m < 1:
         raise InvalidParameter(f"m must be >= 1, got {m}")
     if order not in ("asc", "desc"):
         raise InvalidParameter(f"order must be asc or desc, got {order!r}")
     sel = np.asarray(selected, dtype=np.int64)
     if sel.min() < 0 or sel.max() >= pool.n:
-        raise IndexOutOfRange(f"selected index outside [0, {pool.n})")
+        raise InvalidParameter(f"selected index outside [0, {pool.n})")
     if pool.dim != tests.dim:
-        raise DimensionMismatch(f"pool dim {pool.dim} != test dim {tests.dim}")
+        raise FormatError(f"pool dim {pool.dim} != test dim {tests.dim}")
 
     xs = pool.vectors[sel].astype(np.float64)
     xs /= np.linalg.norm(xs, axis=1)[:, None]
@@ -72,7 +72,7 @@ def retrieve_random(
 ) -> RetrievalPlan:
     """Uniform without-replacement sample per test, stream derived from (seed, test index)."""
     if not selected_ids:
-        raise EmptySelection("no selected instances to retrieve from")
+        raise InvalidParameter("no selected instances to retrieve from")
     if m < 1:
         raise InvalidParameter(f"m must be >= 1, got {m}")
     take = min(m, len(selected_ids))

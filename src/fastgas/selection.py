@@ -9,14 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingMatrix
-from .errors import (
-    BudgetExceedsPool,
-    BudgetExceedsVertices,
-    GraphTooLarge,
-    IndexOutOfRange,
-    InternalError,
-    InvalidK,
-)
+from .errors import InternalError, InvalidParameter
 from .graph import SimilarityGraph, induced_subgraph
 from .partition import Partition, partition_kway
 
@@ -57,7 +50,7 @@ def greedy_select_trace(sub: SimilarityGraph, n: int) -> tuple[list[int], list[i
     """greedy_select plus the residual degree of each pick at pick time."""
     nv = sub.num_vertices
     if not 0 <= n <= nv:
-        raise BudgetExceedsVertices(f"budget {n} exceeds {nv} vertices")
+        raise InvalidParameter(f"budget {n} exceeds {nv} vertices")
     deg = np.diff(sub.indptr).astype(np.int64)
     alive = np.ones(nv, dtype=bool)
     heap = [(-int(deg[v]), v) for v in range(nv)]
@@ -85,7 +78,7 @@ def coverage_objective(g: SimilarityGraph, S) -> int:
     if len(S) == 0:
         return 0
     if S.min() < 0 or S.max() >= g.num_vertices:
-        raise IndexOutOfRange(f"vertex set outside [0, {g.num_vertices})")
+        raise InvalidParameter(f"vertex set outside [0, {g.num_vertices})")
     member = np.zeros(g.num_vertices, dtype=bool)
     member[S] = True
     edges = g.edge_list()
@@ -96,9 +89,9 @@ def brute_force_max_coverage(g: SimilarityGraph, n: int) -> tuple[list[int], int
     """Exhaustive maximum-coverage oracle; lexicographically smallest maximizer."""
     nv = g.num_vertices
     if nv > BRUTE_FORCE_MAX_VERTICES:
-        raise GraphTooLarge(f"{nv} vertices exceeds the brute-force limit {BRUTE_FORCE_MAX_VERTICES}")
+        raise InvalidParameter(f"{nv} vertices exceeds the brute-force limit {BRUTE_FORCE_MAX_VERTICES}")
     if not 0 <= n <= nv:
-        raise BudgetExceedsVertices(f"budget {n} exceeds {nv} vertices")
+        raise InvalidParameter(f"budget {n} exceeds {nv} vertices")
     edges = g.edge_list()
     best_set: tuple[int, ...] = ()
     best_val = -1
@@ -133,17 +126,15 @@ def allocate_quotas(sizes: list[int], M: int) -> list[int]:
         quotas[i] += take
         deficit -= take
     if deficit:
-        raise BudgetExceedsPool(f"budget {M} exceeds pool size {sum(sizes)}")
+        raise InvalidParameter(f"budget {M} exceeds pool size {sum(sizes)}")
     return quotas
 
 
 def fastgas_select(g: SimilarityGraph, K: int, M: int, seed: int) -> SelectionResult:
     """Partition into K parts and greedily pick each part's quota by residual degree."""
     n = g.num_vertices
-    if not 1 <= K <= n:
-        raise InvalidK(f"K must satisfy 1 <= K <= {n}, got {K}")
     if not 1 <= M <= n:
-        raise BudgetExceedsPool(f"budget {M} outside [1, {n}]")
+        raise InvalidParameter(f"budget {M} outside [1, {n}]")
     return select_per_part(g, partition_kway(g, K, seed), M, seed)
 
 
@@ -171,7 +162,7 @@ def select_per_part(g: SimilarityGraph, part: Partition, M: int, seed: int) -> S
 
 def random_select(N: int, M: int, seed: int) -> SelectionResult:
     if not 0 <= M <= N:
-        raise BudgetExceedsPool(f"budget {M} outside [0, {N}]")
+        raise InvalidParameter(f"budget {M} outside [0, {N}]")
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     picks = rng.choice(N, size=M, replace=False).tolist()
     return SelectionResult(selected=picks, method="random", budget=M, seed=seed)
@@ -180,7 +171,7 @@ def random_select(N: int, M: int, seed: int) -> SelectionResult:
 def top_degree_select(g: SimilarityGraph, M: int) -> SelectionResult:
     """Static baseline: the M highest-degree vertices, no residual updates."""
     if not 0 <= M <= g.num_vertices:
-        raise BudgetExceedsPool(f"budget {M} outside [0, {g.num_vertices}]")
+        raise InvalidParameter(f"budget {M} outside [0, {g.num_vertices}]")
     deg = np.diff(g.indptr)
     idx = np.arange(g.num_vertices)
     order = np.lexsort((idx, -deg))
@@ -217,7 +208,7 @@ def pagerank_scores(g: SimilarityGraph) -> np.ndarray:
 
 def pagerank_select(g: SimilarityGraph, M: int) -> SelectionResult:
     if not 0 <= M <= g.num_vertices:
-        raise BudgetExceedsPool(f"budget {M} outside [0, {g.num_vertices}]")
+        raise InvalidParameter(f"budget {M} outside [0, {g.num_vertices}]")
     scores = pagerank_scores(g)
     idx = np.arange(g.num_vertices)
     order = np.lexsort((idx, -scores))
@@ -267,12 +258,12 @@ def subcluster_select(E: EmbeddingMatrix, K: int, M: int, seed: int) -> Selectio
     subclusters; each subcluster contributes its most central instance."""
     n = E.n
     if not 1 <= K <= n:
-        raise InvalidK(f"K must satisfy 1 <= K <= {n}, got {K}")
+        raise InvalidParameter(f"K must satisfy 1 <= K <= {n}, got {K}")
     if M < K:
-        raise BudgetExceedsPool(f"subcluster needs a budget of at least K = {K}, one instance "
-                                f"per cluster; got budget {M}")
+        raise InvalidParameter(f"subcluster needs a budget of at least K = {K}, one instance "
+                               f"per cluster; got budget {M}")
     if M > n:
-        raise BudgetExceedsPool(f"budget {M} outside [{K}, {n}]")
+        raise InvalidParameter(f"budget {M} outside [{K}, {n}]")
     x = E.vectors.astype(np.float64)
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     labels, _ = lloyd_kmeans(x, K, rng)

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import importlib
 import io
 import json
 import re
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from fastgas import cli
 from fastgas.cli import _write_json, main
 from fastgas.embeddings import EmbeddingMatrix, generate_synthetic, save_embeddings
+from fastgas.errors import FastgasError, FormatError, InternalError, InvalidParameter
 
 
 @pytest.fixture
@@ -181,7 +183,7 @@ def test_weighted_graph_cannot_be_partitioned(tmp_path, capsys):
     g.write_text(json.dumps({"num_vertices": 4, "k": 1, "edges": [[0, 1, 1], [2, 3, 1]],
                              "vertex_weights": [1, 3, 1, 1]}))
     for argv in (["partition"], ["select", "--method", "fastgas", "--budget", "2"]):
-        assert main([*argv, "--K", "2", "--input", str(g), "-o", str(tmp_path / "o.json")]) == 2
+        assert main([*argv, "--K", "2", "--input", str(g), "-o", str(tmp_path / "o.json")]) == 1
         assert "vertex weight" in capsys.readouterr().err
     assert main(["select", "--method", "top-degree", "--budget", "2", "--input", str(g),
                  "-o", str(tmp_path / "o.json")]) == 0
@@ -345,6 +347,27 @@ def test_only_the_cli_and_bench_read_a_clock():
         modules |= {node.module for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) and node.level == 0}
         assert ("time" in modules) == (path.name in ("cli.py", "bench.py")), path.name
+
+
+def test_every_raise_names_one_exit_code():
+    """One error class per exit code: every raise in the package names
+    FormatError, InvalidParameter or InternalError, or re-raises, and no
+    module defines another exception class."""
+    assert {c: c.exit_code for c in FastgasError.__subclasses__()} == {
+        FormatError: 1, InvalidParameter: 2, InternalError: 3}
+    allowed = {"FormatError", "InvalidParameter", "InternalError"}
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                assert isinstance(node.exc, ast.Call) and getattr(node.exc.func, "id", None) in allowed, \
+                    (path.name, node.lineno)
+        classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+        if path.name == "errors.py":
+            assert classes == ["FastgasError", "FormatError", "InvalidParameter", "InternalError"]
+        elif classes:
+            module = importlib.import_module(f"fastgas.{path.stem}")
+            assert not [c for c in classes if issubclass(getattr(module, c), BaseException)], path.name
 
 
 @pytest.mark.parametrize("command, text, words", [
@@ -541,11 +564,42 @@ def test_selection_from_another_pool_exits_1(built, capsys, change, words):
     (["partition", "--K", "121"], "K must satisfy 1 <= K <= 120, got 121"),
     (["select", "--method", "random", "--budget", "-1"], "budget -1 outside"),
     (["select", "--method", "top-degree", "--budget", "-1"], "budget -1 outside"),
+    (["select", "--method", "fastgas", "--K", "0", "--budget", "5"], "K must satisfy 1 <= K <= 120, got 0"),
 ])
 def test_bad_library_parameter_exits_2(built, capsys, args, words):
     tmp, _, _ = built
     assert main([*args, "--input", str(tmp / "g.json"), "-o", str(tmp / "o.json")]) == 2
     assert words in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("build-graph", ["--k", "0"], "k must satisfy 1 <= k <= N-1, got k=0, N=120"),
+    ("retrieve", ["--m", "0"], "m must be >= 1, got 0"),
+    ("retrieve", ["--selection", "empty.json"], "no selected instances to retrieve from"),
+])
+def test_bad_command_parameter_exits_2(built, capsys, command, args, message):
+    tmp, pool, tests = built
+    (tmp / "empty.json").write_text(json.dumps({"selected": []}))
+    args = [str(tmp / a) if a.endswith(".json") else a for a in args]
+    assert main([*_argv(command, tmp, pool, tests), *args, "-o", str(tmp / "o.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_tests_of_another_dimension_exit_1(built, capsys):
+    tmp, pool, _ = built
+    save_embeddings(generate_synthetic(3, 4, 1, 0.2, seed=0), str(tmp / "t4.jsonl"), "jsonl")
+    assert main(["retrieve", "--input", str(pool), "--tests", str(tmp / "t4.jsonl"),
+                 "--selection", str(tmp / "s.json"), "-o", str(tmp / "r.json")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: pool dim 8 != test dim 4"]
+
+
+@pytest.mark.parametrize("ident", [None, 7, ["a"]])
+def test_non_string_jsonl_id_exits_1(tmp_path, capsys, ident):
+    p = tmp_path / "pool.jsonl"
+    p.write_text(json.dumps({"id": "a", "vector": [1, 0]}) + "\n"
+                 + json.dumps({"id": ident, "vector": [0, 1]}) + "\n", encoding="utf-8")
+    assert main(["build-graph", "--input", str(p), "--k", "1", "-o", str(tmp_path / "g.json")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: record 1: 'id' must be a string"]
 
 
 @pytest.mark.parametrize("case", ["random", "subcluster", "verify", "bench"])

@@ -20,7 +20,7 @@ from fastgas.embeddings import (
     save_embeddings,
     synthetic_labels,
 )
-from fastgas.errors import DimensionMismatch, FormatError, InvalidParameter, ZeroVector
+from fastgas.errors import FormatError, InvalidParameter
 from fastgas.graph import build_knn_graph
 from fastgas.selection import lloyd_kmeans
 
@@ -92,6 +92,8 @@ def _reference_load_jsonl(path: str) -> EmbeddingMatrix:
                 raise FormatError(f"record {i}: invalid JSON ({e})") from e
             if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
                 raise FormatError(f"record {i}: expected object with 'id' and 'vector'")
+            if not isinstance(obj["id"], str):
+                raise FormatError(f"record {i}: 'id' must be a string")
             vec = obj["vector"]
             if not isinstance(vec, list) or not all(type(x) in (int, float) for x in vec):
                 raise FormatError(f"record {i}: 'vector' must be an array of numbers")
@@ -99,7 +101,7 @@ def _reference_load_jsonl(path: str) -> EmbeddingMatrix:
                 dim = len(vec)
             elif len(vec) != dim:
                 raise FormatError(f"record {i}: dimension {len(vec)} != {dim}")
-            ids.append(str(obj["id"]))
+            ids.append(obj["id"])
             rows.append(vec)
     if not rows:
         raise FormatError(f"{path}: no records")
@@ -142,7 +144,7 @@ def _jsonl_files(draw):
     d = draw(st.integers(1, 5))
     ints_only = draw(st.booleans())  # all-integer chunks take numpy's int64 path
     num = st.integers(-(2**70), 2**70) if ints_only else _numbers
-    ids = draw(st.lists(st.text(max_size=3) | st.integers(0, 20), min_size=n, max_size=n, unique_by=str))
+    ids = draw(st.lists(st.text(max_size=3), min_size=n, max_size=n, unique=True))
     recs = [{"id": ident, "vector": draw(st.lists(num, min_size=d, max_size=d))} for ident in ids]
     lines = [json.dumps(r).encode() for r in recs]
     j = draw(st.integers(0, n - 1))
@@ -156,6 +158,7 @@ def _jsonl_files(draw):
         "none", "string", "bool", "null", "nested", "longer", "shorter", "empty", "non-object",
         "no-vector", "vector-scalar", "truncated", "garbage", "nan", "infinity", "beyond-2^64",
         "beyond-float64", "float32-overflow", "blank", "crlf", "bad-utf8", "mixed", "duplicate-id",
+        "non-string-id",
     ]))
     if mutation == "string":
         lines[j] = with_element(str(vec[k]))
@@ -199,6 +202,8 @@ def _jsonl_files(draw):
         lines[j] = lines[j][:cut] + b"\xff" + lines[j][cut:]
     elif mutation == "duplicate-id":
         lines[j] = json.dumps({"id": recs[0]["id"], "vector": vec}).encode()
+    elif mutation == "non-string-id":
+        lines[j] = json.dumps({"id": draw(st.sampled_from([None, 7, 1.5, True, ["a"], {}])), "vector": vec}).encode()
     elif mutation == "mixed":
         lines[j] = with_element(int(vec[k]) if isinstance(vec[k], float) else float(vec[k]))
     return b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
@@ -222,7 +227,7 @@ class TestJsonlParity:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("bad", [None, "string", "ragged", "invalid-json", "non-object", "null",
-                                     "true", "false"])
+                                     "true", "false", "int-id"])
     def test_chunk_boundaries(self, tmp_path, offset, bad):
         chunk = embeddings._JSONL_CHUNK
         n = chunk + offset
@@ -243,6 +248,8 @@ class TestJsonlParity:
             lines[j] = json.dumps({"id": "x", "vector": [1, True, 3, 4]})
         elif bad == "false":  # numpy reads the chunk as float64
             lines[j] = json.dumps({"id": "x", "vector": [0.5, False, 3, 4]})
+        elif bad == "int-id":
+            lines[j] = json.dumps({"id": 7, "vector": [1, 2, 3, 4]})
         p = tmp_path / "e.jsonl"
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         _assert_parity(p)
@@ -252,13 +259,14 @@ class TestJsonlParity:
             with pytest.raises(FormatError, match=f"record {j}:"):
                 load_embeddings(str(p))
 
-    @pytest.mark.parametrize("later", ["invalid-json", "non-object", "bad-utf8"])
+    @pytest.mark.parametrize("later", ["invalid-json", "non-object", "bad-utf8", "int-id"])
     def test_bad_vector_before_a_worse_line_in_the_same_chunk(self, tmp_path, later):
         chunk = embeddings._JSONL_CHUNK
         lines = [json.dumps({"id": f"r{i}", "vector": [1.0, i]}).encode() for i in range(2 * chunk)]
         lines[chunk + 3] = json.dumps({"id": "x", "vector": [1.0, "2"]}).encode()
         lines[chunk + 5] = {"invalid-json": b"{\"id\": 1, \"vector\": [1, 2]",
-                            "non-object": b"[1, 2]", "bad-utf8": b"{\"id\": \"\xff\", \"vector\": [1, 2]}"}[later]
+                            "non-object": b"[1, 2]", "bad-utf8": b"{\"id\": \"\xff\", \"vector\": [1, 2]}",
+                            "int-id": b"{\"id\": 7, \"vector\": [1, 2]}"}[later]
         p = tmp_path / "e.jsonl"
         p.write_bytes(b"\n".join(lines))
         with pytest.raises(FormatError, match=f"record {chunk + 3}: 'vector' must be"):
@@ -373,11 +381,11 @@ class TestCosine:
         assert cosine_similarity([1, 1], [1, 0]) == pytest.approx(1 / math.sqrt(2))
 
     def test_zero_vector(self):
-        with pytest.raises(ZeroVector):
+        with pytest.raises(FormatError, match="cosine similarity undefined for zero vectors"):
             cosine_similarity([0, 0], [1, 0])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParameter, match=r"dim \(2,\) != \(3,\)"):
             cosine_similarity([1, 0], [1, 0, 0])
 
     @given(

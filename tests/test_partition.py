@@ -7,7 +7,7 @@ import pytest
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, two_triangles_bridge
 from fastgas import partition
 from fastgas.embeddings import generate_synthetic
-from fastgas.errors import GraphTooSmall, InternalError, InvalidK
+from fastgas.errors import InternalError, InvalidParameter
 from fastgas.graph import SimilarityGraph, build_knn_graph, edge_cut, graph_from_edges
 from fastgas.partition import (
     Bisection,
@@ -94,7 +94,7 @@ class TestRandomMatchingCoarsen:
             assert got == agg
 
     def test_too_small(self, rng):
-        with pytest.raises(GraphTooSmall):
+        with pytest.raises(InvalidParameter, match="cannot coarsen a graph with 1 vertices"):
             random_matching_coarsen(graph_from_edges(1, []), rng)
 
 
@@ -206,7 +206,7 @@ class TestMultilevelBisect:
         assert b.cut == 1
 
     def test_too_small(self, rng):
-        with pytest.raises(GraphTooSmall, match="cannot bisect a graph with 1 vertices"):
+        with pytest.raises(InvalidParameter, match="cannot bisect a graph with 1 vertices"):
             multilevel_bisect(graph_from_edges(1, []), rng, kway2_bounds(path_graph(4)))
 
     def test_balance_contract(self, rng):
@@ -257,9 +257,9 @@ class TestPartitionKway:
 
     def test_invalid_k(self, rng):
         g = random_graph(10, 0.3, rng)
-        with pytest.raises(InvalidK):
+        with pytest.raises(InvalidParameter, match="K must satisfy 1 <= K <= 10, got 0"):
             partition_kway(g, 0, seed=0)
-        with pytest.raises(InvalidK):
+        with pytest.raises(InvalidParameter, match="K must satisfy 1 <= K <= 10, got 11"):
             partition_kway(g, 11, seed=0)
 
     def test_invariants_random_graphs(self, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fastgas.embeddings import EmbeddingMatrix, cosine_similarity, generate_synthetic
-from fastgas.errors import DimensionMismatch, EmptySelection
+from fastgas.errors import FormatError, InvalidParameter
 from fastgas.retrieval import retrieve_random, retrieve_similar
 
 
@@ -62,13 +62,13 @@ class TestRetrieveSimilar:
 
     def test_empty_selection(self):
         pool = generate_synthetic(5, 3, 1, 0.2, seed=0)
-        with pytest.raises(EmptySelection):
+        with pytest.raises(InvalidParameter, match="no selected instances to retrieve from"):
             retrieve_similar(pool, [], pool, 2)
 
     def test_dim_mismatch(self):
         pool = generate_synthetic(5, 3, 1, 0.2, seed=0)
         tests = generate_synthetic(2, 4, 1, 0.2, seed=0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(FormatError, match="pool dim 3 != test dim 4"):
             retrieve_similar(pool, [0, 1], tests, 2)
 
 
@@ -101,5 +101,5 @@ class TestRetrieveRandom:
             assert len(set(ids)) == len(ids) == 4
 
     def test_empty_selection(self):
-        with pytest.raises(EmptySelection):
+        with pytest.raises(InvalidParameter, match="no selected instances to retrieve from"):
             retrieve_random([], ["t0"], 2, seed=0)

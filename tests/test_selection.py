@@ -4,13 +4,7 @@ import pytest
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
 from fastgas import selection
 from fastgas.embeddings import EmbeddingMatrix, generate_synthetic
-from fastgas.errors import (
-    BudgetExceedsPool,
-    BudgetExceedsVertices,
-    GraphTooLarge,
-    InternalError,
-    InvalidK,
-)
+from fastgas.errors import InternalError, InvalidParameter
 from fastgas.graph import build_knn_graph, graph_from_edges
 from fastgas.selection import (
     allocate_quotas,
@@ -44,7 +38,7 @@ class TestGreedySelect:
         assert greedy_select(g, 3) == [0, 1, 2]
 
     def test_budget_exceeds(self):
-        with pytest.raises(BudgetExceedsVertices):
+        with pytest.raises(InvalidParameter, match="budget 4 exceeds 3 vertices"):
             greedy_select(path_graph(3), 4)
 
     def test_trace_degrees_match_oracle(self, rng):
@@ -93,7 +87,7 @@ class TestBruteForce:
         assert val == g.num_edges
 
     def test_too_large(self):
-        with pytest.raises(GraphTooLarge):
+        with pytest.raises(InvalidParameter, match="30 vertices exceeds the brute-force limit 24"):
             brute_force_max_coverage(path_graph(30), 2)
 
 
@@ -111,7 +105,7 @@ class TestQuotas:
         assert allocate_quotas([500] * 6, 18) == [3] * 6
 
     def test_budget_exceeds_pool(self):
-        with pytest.raises(BudgetExceedsPool):
+        with pytest.raises(InvalidParameter, match="budget 5 exceeds pool size 4"):
             allocate_quotas([2, 2], 5)
 
 
@@ -146,9 +140,9 @@ class TestFastgasSelect:
         assert a.selected == b.selected
 
     def test_invalid_parameters(self, pool_graph):
-        with pytest.raises(InvalidK):
+        with pytest.raises(InvalidParameter, match="K must satisfy 1 <= K <= 300, got 0"):
             fastgas_select(pool_graph, 0, 5, seed=0)
-        with pytest.raises(BudgetExceedsPool):
+        with pytest.raises(InvalidParameter, match=r"budget 301 outside \[1, 300\]"):
             fastgas_select(pool_graph, 2, 301, seed=0)
 
 
@@ -168,7 +162,7 @@ class TestRandomSelect:
             assert len(a & b) <= 20
 
     def test_budget_exceeds(self):
-        with pytest.raises(BudgetExceedsPool):
+        with pytest.raises(InvalidParameter, match=r"budget 6 outside \[0, 5\]"):
             random_select(5, 6, seed=0)
 
 
