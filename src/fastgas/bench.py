@@ -41,6 +41,9 @@ def run_bench(
     given sizes; per-stage wall-clock in ms, best of `repeats` runs."""
     if repeats < 1 or not sizes or M < 1:
         raise InvalidParameter("need at least one size, one repeat and a budget of at least 1")
+    small = [n for n in sizes if n < 2]
+    if small:
+        raise InvalidParameter(f"pool size {small[0]} is below 2, the smallest pool with a kNN graph")
     rows = []
     for n in sizes:
         emb = generate_synthetic(n, d, min(BENCH_CLUSTERS, n), BENCH_SPREAD, seed)

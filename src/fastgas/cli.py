@@ -53,16 +53,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = argparse.ArgumentParser(prog="fastgas", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+    def command(name: str, run, summary: str, unread: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+        """A subcommand with the shared flags, less the `unread` ones it has no use for."""
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(run=run)
         sp.add_argument("--config", help="JSON config file; flags override its values")
-        sp.add_argument("--preset", choices=sorted(PRESETS))
+        if "preset" not in unread:
+            sp.add_argument("--preset", choices=sorted(PRESETS))
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
+        if "threads" not in unread:
+            sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--output", "-o")
-        sp.add_argument("--no-timings", action="store_true",
-                        help="omit wall-clock timings from output files")
+        if "no-timings" not in unread:
+            sp.add_argument("--no-timings", action="store_true",
+                            help="omit wall-clock timings from output files")
         return sp
 
     sp = command("build-graph", _cmd_build_graph, "build the kNN similarity graph from embeddings")
@@ -77,13 +81,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp = command("select", _cmd_select, "run a selection strategy under a budget")
     sp.add_argument("--input", required=True,
                     help="graph JSON (fastgas/random/top-degree/pagerank) or embeddings (subcluster)")
-    sp.add_argument("--format", choices=["jsonl", "binary"], default="jsonl",
-                    help="embeddings format for subcluster and --embeddings")
+    sp.add_argument("--format", choices=["jsonl", "binary"],
+                    help="embeddings format for subcluster (default: jsonl)")
     sp.add_argument("--method", choices=["fastgas", "random", "top-degree", "pagerank", "subcluster"],
                     default="fastgas")
     sp.add_argument("--budget", type=int, default=18)
     sp.add_argument("--K", type=int, default=2)
-    sp.add_argument("--embeddings", help="optional embeddings file to attach instance ids")
 
     sp = command("retrieve", _cmd_retrieve, "build per-test prompt example orderings")
     sp.add_argument("--input", required=True, help="pool embeddings file")
@@ -96,7 +99,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--order", choices=["asc", "desc"], default="asc",
                     help="similar mode: asc puts the most similar example last")
 
-    sp = command("bench", _cmd_bench, "time the pipeline and baselines on synthetic pools")
+    # bench's whole report is timings
+    sp = command("bench", _cmd_bench, "time the pipeline and baselines on synthetic pools",
+                 unread=("no-timings",))
     sp.add_argument("--sizes", type=_int_list, default="1000,2000,4000,8000",
                     help="comma-separated pool sizes")
     sp.add_argument("--d", type=int, default=64)
@@ -105,7 +110,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--budget", type=int, default=18)
     sp.add_argument("--repeats", type=int, default=1)
 
-    sp = command("verify", _cmd_verify, "audit greedy selection against the exhaustive oracle")
+    sp = command("verify", _cmd_verify, "audit greedy selection against the exhaustive oracle",
+                 unread=("preset", "threads"))
     sp.add_argument("--max-n", type=int, default=12)
     sp.add_argument("--max-budget", type=int, default=4)
     sp.add_argument("--instances", type=int, default=500)
@@ -140,7 +146,7 @@ def _layer_defaults(sp: argparse.ArgumentParser, args: argparse.Namespace) -> No
     flags = {a.dest: a for a in sp._actions if a.option_strings and not a.required
              and a.dest not in ("help", "config", "preset")}
     layers = {}
-    if args.preset:
+    if getattr(args, "preset", None):
         layers.update((k, v) for k, v in PRESETS[args.preset].items() if k in flags)
     if args.config:
         try:
@@ -158,53 +164,40 @@ def _layer_defaults(sp: argparse.ArgumentParser, args: argparse.Namespace) -> No
     sp.set_defaults(**layers)
 
 
-def _json_pieces(obj, level: int):
-    """`json.dumps(obj, indent=2)` nested `level` deep, byte for byte, as
-    consecutive strings; a 2-D integer array (graph edges) is written as the
-    list of its rows.
+def _json_pieces(obj):
+    """`json.dumps(obj, indent=2)` byte for byte, as consecutive strings; a
+    2-D integer array (graph edges) is written as the list of its rows.
 
-    The stdlib skips its C encoder whenever `indent` is set, so lists of
-    ints and of strings (selections, plans) are formatted here with `join`,
-    and integer arrays a chunk of rows at a time with one templated `%`.
+    The stdlib skips its C encoder whenever `indent` is set, so the two
+    values of an output that are long enough to feel it are formatted here:
+    a top-level 2-D integer array a chunk of rows at a time with one
+    templated `%`, and a top-level list of strings (ids) with one `join`.
     """
-    ind = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level + "]"
-    if type(obj) is np.ndarray and obj.ndim == 2 and obj.dtype.kind == "i" and obj.size:
-        # a chunk of rows at a time, as one flat list of Python ints
-        inner = ind + "  "
-        row = "[" + inner + ("," + inner).join(["%d"] * obj.shape[1]) + ind + "]"
-        for i in range(0, len(obj), _ENCODE_ROWS):
-            part = obj[i:i + _ENCODE_ROWS]
-            rows = ("," + ind).join([row] * len(part)) % tuple(part.ravel().tolist())
-            yield ("," if i else "[") + ind + rows
-        yield close
-    elif type(obj) is np.ndarray:
-        yield from _json_pieces(obj.tolist(), level)
-    elif type(obj) is dict and obj and all(type(key) is str for key in obj):
-        for i, (key, v) in enumerate(obj.items()):
-            yield ("," if i else "{") + ind + encode_basestring_ascii(key) + ": "
-            yield from _json_pieces(v, level + 1)
-        yield "\n" + "  " * level + "}"
-    elif type(obj) is list and obj:
-        kinds = set(map(type, obj))
-        if kinds == {int}:
-            yield "[" + ind + ("," + ind).join(map(int.__repr__, obj)) + close
-        elif kinds == {str}:
-            yield "[" + ind + ("," + ind).join(map(encode_basestring_ascii, obj)) + close
+    if type(obj) is not dict or not obj or not all(type(key) is str for key in obj):
+        yield json.dumps(obj, indent=2)
+        return
+    ind = "\n    "
+    for i, (key, v) in enumerate(obj.items()):
+        yield ("," if i else "{") + "\n  " + encode_basestring_ascii(key) + ": "
+        if type(v) is np.ndarray and v.ndim == 2 and v.dtype.kind == "i" and v.size:
+            row = "[" + ind + "  " + ("," + ind + "  ").join(["%d"] * v.shape[1]) + ind + "]"
+            for j in range(0, len(v), _ENCODE_ROWS):
+                part = v[j:j + _ENCODE_ROWS]
+                rows = ("," + ind).join([row] * len(part)) % tuple(part.ravel().tolist())
+                yield ("," if j else "[") + ind + rows
+            yield "\n  ]"
+        elif type(v) is list and v and set(map(type, v)) == {str}:
+            yield "[" + ind + ("," + ind).join(map(encode_basestring_ascii, v)) + "\n  ]"
         else:
-            for i, v in enumerate(obj):
-                yield ("," if i else "[") + ind
-                yield from _json_pieces(v, level + 1)
-            yield close
-    else:
-        yield json.dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
+            yield json.dumps(v.tolist() if type(v) is np.ndarray else v, indent=2).replace("\n", "\n  ")
+    yield "\n}"
 
 
 def _write_json(path: str | None, obj: dict) -> None:
     """`obj` as indented JSON to the file `path`, or to stdout, piece by piece."""
     out = open(path, "w", encoding="utf-8", newline="\n") if path else contextlib.nullcontext(sys.stdout)
     with out as f:
-        f.writelines(_json_pieces(obj, 0))
+        f.writelines(_json_pieces(obj))
         f.write("\n")
 
 
@@ -258,15 +251,13 @@ def _write_output(args, out: dict, name: str, ms: float) -> None:
 def _cmd_build_graph(args) -> int:
     emb = load_embeddings(args.input, args.format)
     g, ms = _timed(lambda: build_knn_graph(emb, args.k, threads=args.threads))
-    out = graph_to_dict(g, args.k)
-    out["ids"] = emb.ids
-    _write_output(args, out, "knn", ms)
+    _write_output(args, graph_to_dict(g, args.k, emb.ids), "knn", ms)
     print(f"N={g.num_vertices} |E|={g.num_edges} build_ms={ms:.1f}", file=sys.stderr)
     return 0
 
 
 def _cmd_partition(args) -> int:
-    g = load_graph(args.input)
+    g, _ = load_graph(args.input)
     part, ms = _timed(lambda: partition_kway(g, args.K, args.seed))
     _write_output(args, partition_to_dict(g, part, args.seed), "partition", ms)
     return 0
@@ -274,16 +265,14 @@ def _cmd_partition(args) -> int:
 
 def _cmd_select(args) -> int:
     if args.method == "subcluster":
-        emb = load_embeddings(args.input, args.format)
+        emb = load_embeddings(args.input, args.format or "jsonl")
         ids, n = emb.ids, len(emb.ids)
+    elif args.format:
+        raise InvalidParameter(f"format {args.format} needs method subcluster; method {args.method} "
+                               "reads a graph JSON, whose format is fixed")
     else:
-        g = load_graph(args.input)
-        ids, n = None, g.num_vertices
-    if args.embeddings:
-        ids = load_embeddings(args.embeddings, args.format).ids
-        if len(ids) != n:
-            raise FormatError(f"{args.embeddings}: {len(ids)} embeddings for the "
-                              f"{n} vertices of {args.input}")
+        g, ids = load_graph(args.input)
+        n = g.num_vertices
     res, ms = _timed({
         "subcluster": lambda: subcluster_select(emb, args.K, args.budget, args.seed),
         "fastgas": lambda: fastgas_select(g, args.K, args.budget, args.seed),
@@ -312,8 +301,6 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.no_timings:
-        raise InvalidParameter("bench reports timings only; --no-timings does not apply to it")
     # the CSV table goes next to the JSON report, with the suffix .csv
     csv_path = os.path.splitext(args.output)[0] + ".csv" if args.output else None
     if args.output and csv_path == args.output:
@@ -348,7 +335,7 @@ def settle_args(argv: list[str] | None = None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     _layer_defaults(commands[args.command], args)
     args = parser.parse_args(argv)
-    if args.threads < 1:
+    if getattr(args, "threads", 1) < 1:
         raise InvalidParameter(f"--threads must be at least 1, got {args.threads}")
     return args
 

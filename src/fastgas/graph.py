@@ -61,11 +61,6 @@ class SimilarityGraph:
     def total_vertex_weight(self) -> int:
         return int(self.vertex_weights.sum())
 
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.num_vertices:
-            raise InvalidParameter(f"vertex {v} out of range [0, {self.num_vertices})")
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -538,15 +533,16 @@ def edge_cut(g: SimilarityGraph, assignment) -> int:
     return int(g.edge_weights[mask].sum())
 
 
-def graph_to_dict(g: SimilarityGraph, k: int) -> dict:
-    """The JSON document of `g`, the kNN graph built with `k` neighbors.
-    `edges` is the (E, 3) int64 `edge_list()`, which `cli._write_json`
-    writes as a list of [u, v, weight] rows."""
+def graph_to_dict(g: SimilarityGraph, k: int, ids: list[str]) -> dict:
+    """The JSON document of `g`, the kNN graph built with `k` neighbors from
+    the embeddings named `ids`. `edges` is the (E, 3) int64 `edge_list()`,
+    which `cli._write_json` writes as a list of [u, v, weight] rows."""
     return {
         "num_vertices": g.num_vertices,
         "k": k,
         "edges": g.edge_list(),
         "vertex_weights": g.vertex_weights.tolist(),
+        "ids": ids,
     }
 
 
@@ -554,8 +550,9 @@ def graph_from_dict(d: dict) -> SimilarityGraph:
     """The graph of a graph JSON document; anything malformed raises FormatError.
 
     `num_vertices` is at least 1, `edges` is a list of [u, v, weight]
-    triples and `vertex_weights`, if given, a list of num_vertices numbers;
-    other keys, such as build-graph's `k`, are not read.
+    triples, `vertex_weights`, if given, a list of num_vertices numbers and
+    `ids`, if given, a list of num_vertices strings; other keys, such as
+    build-graph's `k`, are not read.
     Every number must be a JSON integer: a float, a numeric string, true or
     false is named and rejected, as is a negative weight."""
     if type(d) is not dict:
@@ -586,6 +583,13 @@ def graph_from_dict(d: dict) -> SimilarityGraph:
         if negative.size:
             j = negative[0]
             raise FormatError(f"bad graph JSON: vertex weight {j} {vertex_weights[j]}: negative")
+    ids = d.get("ids")
+    if ids is not None:
+        if type(ids) is not list or len(ids) != n:
+            raise FormatError(f"bad graph JSON: ids must be a list of {n} strings")
+        for j, ident in enumerate(ids):
+            if type(ident) is not str:
+                raise FormatError(f"bad graph JSON: id {j} {json.dumps(ident)}: not a string")
     _check_edges(edges, n)
     return graph_from_edges(n, edges, vertex_weights=vertex_weights)
 
@@ -629,10 +633,12 @@ def _check_edges(edges: np.ndarray, n: int) -> None:
         raise FormatError(f"bad graph JSON: edge {j} {edges[j].tolist()}: {reason}")
 
 
-def load_graph(path: str) -> SimilarityGraph:
+def load_graph(path: str) -> tuple[SimilarityGraph, list[str] | None]:
+    """The graph of the graph JSON file `path` and its vertex ids, or None
+    if the file names none."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
         except (ValueError, RecursionError) as e:
             raise FormatError(f"{path}: not a graph JSON: {e}") from None
-    return graph_from_dict(doc)
+    return graph_from_dict(doc), doc.get("ids")

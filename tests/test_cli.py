@@ -85,26 +85,66 @@ def test_full_pipeline_and_determinism(workspace):
 
 
 def test_select_attaches_ids(workspace):
+    """Every method names its picks: a graph method by the ids in the graph
+    file, subcluster by the ids of its embeddings."""
     tmp, pool, _ = workspace
-    main(["build-graph", "--input", str(pool), "--k", "5", "-o", str(tmp / "g.json")])
-    main(["select", "--input", str(tmp / "g.json"), "--method", "top-degree", "--budget", "4",
-          "--embeddings", str(pool), "-o", str(tmp / "s.json")])
-    sel = json.loads((tmp / "s.json").read_text())
-    assert all(i.startswith("syn-") for i in sel["selected_ids"])
+    ids = [f"syn-{i}" for i in range(120)]
+    assert main(["build-graph", "--input", str(pool), "--k", "5", "-o", str(tmp / "g.json")]) == 0
+    assert json.loads((tmp / "g.json").read_text())["ids"] == ids
+    for method in ("fastgas", "random", "top-degree", "pagerank", "subcluster"):
+        src = pool if method == "subcluster" else tmp / "g.json"
+        assert main(["select", "--input", str(src), "--method", method, "--budget", "4",
+                     "-o", str(tmp / "s.json")]) == 0
+        sel = json.loads((tmp / "s.json").read_text())
+        assert sel["selected_ids"] == [ids[i] for i in sel["selected"]], method
 
 
-@pytest.mark.parametrize("method", ["top-degree", "subcluster"])
-def test_select_embeddings_of_another_size_exits_1(workspace, capsys, method):
+def test_graph_without_ids_selects_without_ids(workspace):
     tmp, pool, _ = workspace
-    short = tmp / "short.jsonl"
-    save_embeddings(generate_synthetic(5, 8, 2, 0.1, seed=3), str(short), "jsonl")
-    main(["build-graph", "--input", str(pool), "--k", "5", "-o", str(tmp / "g.json")])
-    src = pool if method == "subcluster" else tmp / "g.json"
-    assert main(["select", "--input", str(src), "--method", method, "--budget", "10",
-                 "--embeddings", str(short), "-o", str(tmp / "s.json")]) == 1
-    err = capsys.readouterr().err
-    assert f"{short}: 5 embeddings for the 120 vertices of {src}" in err
+    assert main(["build-graph", "--input", str(pool), "--k", "5", "-o", str(tmp / "g.json")]) == 0
+    doc = json.loads((tmp / "g.json").read_text())
+    del doc["ids"]
+    (tmp / "g.json").write_text(json.dumps(doc))
+    assert main(["select", "--input", str(tmp / "g.json"), "--method", "top-degree", "--budget", "4",
+                 "-o", str(tmp / "s.json")]) == 0
+    assert json.loads((tmp / "s.json").read_text())["selected_ids"] is None
+
+
+def test_select_embeddings_flag_is_gone(workspace, capsys):
+    """Ids come from the graph file, so no second embeddings file is read."""
+    tmp, pool, _ = workspace
+    assert main(["build-graph", "--input", str(pool), "--k", "5", "-o", str(tmp / "g.json")]) == 0
+    argv = ["select", "--input", str(tmp / "g.json"), "--method", "top-degree", "-o", str(tmp / "s.json")]
+    with pytest.raises(SystemExit) as e:
+        main([*argv, "--embeddings", str(pool)])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --embeddings" in capsys.readouterr().err
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"embeddings": str(pool)}))
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert "unknown key 'embeddings'" in capsys.readouterr().err
     assert not (tmp / "s.json").exists()
+
+
+@pytest.mark.parametrize("method, source", [
+    ("fastgas", "flags"), ("random", "config"), ("top-degree", "flags"), ("pagerank", "config"),
+])
+def test_graph_method_rejects_format(workspace, capsys, method, source):
+    """--format sets subcluster's embeddings format; a graph method, whose
+    input is a graph JSON, exits 2 naming both settings."""
+    tmp, pool, _ = workspace
+    assert main(["build-graph", "--input", str(pool), "--k", "5", "-o", str(tmp / "g.json")]) == 0
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"format": "jsonl"}))
+    given = ["--config", str(cfg)] if source == "config" else ["--format", "jsonl"]
+    out = tmp / "s.json"
+    capsys.readouterr()
+    assert main(["select", "--input", str(tmp / "g.json"), "--method", method, "--budget", "4",
+                 *given, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: format jsonl needs method subcluster; method {method} reads a graph JSON, "
+        "whose format is fixed"]
+    assert not out.exists()
 
 
 def test_random_retrieve_mode(workspace):
@@ -170,6 +210,15 @@ def test_out_of_range_graph_edge_exits_1(tmp_path, capsys):
     assert "edge 0 [0, 7, 1]" in capsys.readouterr().err
 
 
+def test_non_string_graph_id_exits_1(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"num_vertices": 3, "k": 1, "edges": [[0, 1, 1], [1, 2, 1]],
+                             "vertex_weights": [1, 1, 1], "ids": ["a", "b", None]}))
+    assert main(["select", "--method", "random", "--budget", "1", "--input", str(g),
+                 "-o", str(tmp_path / "s.json")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: bad graph JSON: id 2 null: not a string"]
+
+
 def test_non_integer_graph_numbers_exit_1(tmp_path, capsys):
     g = tmp_path / "g.json"
     g.write_text(json.dumps({"num_vertices": 3, "edges": [[0, "2", 1.9], [1.7, 2, 1]],
@@ -207,9 +256,40 @@ def test_subcluster_on_duplicate_rows(tmp_path):
 
 
 def test_bench_rejects_no_timings(tmp_path, capsys):
+    """bench's whole report is timings, so it has no --no-timings flag or
+    no_timings config key."""
+    out, cfg = tmp_path / "b.json", tmp_path / "cfg.json"
+    argv = ["bench", "--sizes", "60", "--budget", "6", "-o", str(out)]
+    with pytest.raises(SystemExit) as e:
+        main([*argv, "--no-timings"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --no-timings" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"no_timings": True}))
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert "unknown key 'no_timings'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_has_no_preset_or_threads(tmp_path, capsys):
+    """No preset key applies to verify, which runs on one thread."""
+    out, cfg = tmp_path / "v.json", tmp_path / "cfg.json"
+    argv = ["verify", "--instances", "3", "-o", str(out)]
+    with pytest.raises(SystemExit) as e:
+        main([*argv, "--preset", "paper-18"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --preset" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"threads": 2}))
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert "unknown key 'threads'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", ["1", "0", "-5"])
+def test_bench_refuses_a_pool_below_two(tmp_path, capsys, size):
     out = tmp_path / "b.json"
-    assert main(["bench", "--sizes", "60", "--budget", "6", "--no-timings", "-o", str(out)]) == 2
-    assert "--no-timings" in capsys.readouterr().err
+    assert main(["bench", f"--sizes=60,{size}", "--budget", "6", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: pool size {size} is below 2, the smallest pool with a kNN graph"]
     assert not out.exists()
 
 
@@ -244,9 +324,18 @@ def test_bench_subcommand(tmp_path):
 ])
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exits_2(argv, threads, tmp_path, capsys):
+    """A thread count below one exits 2; verify, which runs on one thread,
+    has no --threads flag, so argparse refuses it with the same code."""
     out = tmp_path / "out.json"
-    assert main([*argv, "--threads", threads, "-o", str(out)]) == 2
-    assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+    argv = [*argv, "--threads", threads, "-o", str(out)]
+    if argv[0] == "verify":
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    else:
+        assert main(argv) == 2
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -293,8 +382,8 @@ def test_write_json_writes_int_arrays_as_lists(shape, chunk):
     array = np.array(rows, dtype=np.int64).reshape(len(rows), width)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), mock.patch.object(cli, "_ENCODE_ROWS", chunk):
-        _write_json(None, {"edges": array, "n": [array]})
-    assert buf.getvalue() == json.dumps({"edges": rows, "n": [rows]}, indent=2) + "\n"
+        _write_json(None, {"edges": array})
+    assert buf.getvalue() == json.dumps({"edges": rows}, indent=2) + "\n"
 
 
 @pytest.fixture
@@ -536,7 +625,7 @@ def test_selection_from_another_pool_exits_1(built, capsys, change, words):
     tmp, pool, tests = built
     sel = tmp / "named.json"
     assert main(["select", "--input", str(tmp / "g.json"), "--method", "random", "--budget", "6",
-                 "--embeddings", str(pool), "-o", str(sel)]) == 0
+                 "-o", str(sel)]) == 0
     argv = ["retrieve", "--input", str(pool), "--tests", str(tests), "--tests-format", "binary",
             "--selection", str(sel), "-o", str(tmp / "r.json")]
     assert main(argv) == 0
@@ -556,6 +645,30 @@ def test_selection_from_another_pool_exits_1(built, capsys, change, words):
     sel.write_text(json.dumps(doc))
     assert main(argv) == 1
     assert words in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["fastgas", "random", "top-degree", "pagerank"])
+def test_selection_from_another_pools_graph_exits_1(built, capsys, method):
+    """A graph method names its picks by the graph's ids, so `retrieve`
+    refuses a selection made on another pool's graph with no extra flag."""
+    tmp, pool, tests = built
+    other = generate_synthetic(100, 8, 4, 0.1, seed=5)
+    other = EmbeddingMatrix(ids=[f"other-{i}" for i in range(100)], vectors=other.vectors)
+    save_embeddings(other, str(tmp / "other.jsonl"), "jsonl")
+    assert main(["build-graph", "--input", str(tmp / "other.jsonl"), "--k", "5",
+                 "-o", str(tmp / "other-g.json")]) == 0
+    sel = tmp / "other-s.json"
+    assert main(["select", "--input", str(tmp / "other-g.json"), "--method", method, "--K", "4",
+                 "--budget", "6", "-o", str(sel)]) == 0
+    first = json.loads(sel.read_text())["selected"][0]
+    out = tmp / "r.json"
+    capsys.readouterr()
+    assert main(["retrieve", "--input", str(pool), "--tests", str(tests), "--tests-format", "binary",
+                 "--selection", str(sel), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f'error: {sel}: selected_ids[0] is "other-{first}", but the pool\'s id at selected[0] = '
+        f'{first} is "syn-{first}"']
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, words", [
@@ -638,11 +751,11 @@ _plausible = st.fixed_dictionaries({}, optional={
 })
 _config_keys = st.sampled_from([
     # select and retrieve keys
-    "seed", "threads", "no_timings", "output", "format", "method", "budget", "K", "embeddings",
+    "seed", "threads", "no_timings", "output", "format", "method", "budget", "K",
     "tests_format", "mode", "m", "order",
     # typos, removed settings, other subcommands' keys and non-flag names
-    "budgte", "max-iters", "damping", "tol", "max_iters", "epsilon", "k", "sizes", "instances",
-    "input", "selection", "config", "preset", "command", "",
+    "budgte", "embeddings", "max-iters", "damping", "tol", "max_iters", "epsilon", "k", "sizes",
+    "instances", "input", "selection", "config", "preset", "command", "",
 ])
 _config_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 45) | st.floats() | st.text(max_size=6)
@@ -676,17 +789,19 @@ def test_random_config_never_tracebacks(tiny_pool, config):
 # bench and verify flags, edge values included, written `--flag=value` so a
 # negative value is not read as a flag; pools stay at most 64 vectors and
 # verify's budget small enough for its exhaustive oracle
-_run_flags = {"--seed": st.integers(-3, 5), "--threads": st.integers(-1, 3), "--no-timings": st.just(True)}
 _bench_argvs = st.fixed_dictionaries({
     "--sizes": st.lists(st.integers(-1, 64), max_size=3).map(lambda s: ",".join(map(str, s))),
 }, optional={
-    **_run_flags, "--d": st.integers(-1, 8), "--k": st.integers(-1, 12), "--K": st.integers(-1, 12),
-    "--budget": st.integers(-1, 70), "--repeats": st.integers(-1, 2),
+    "--seed": st.integers(-3, 5), "--threads": st.integers(-1, 3), "--d": st.integers(-1, 8),
+    "--k": st.integers(-1, 12), "--K": st.integers(-1, 12), "--budget": st.integers(-1, 70),
+    "--repeats": st.integers(-1, 2),
 }).map(lambda flags: ["bench", *flags.items()])
 _verify_budgets = (st.fixed_dictionaries({"--max-n": st.integers(-1, 25), "--max-budget": st.integers(-1, 3)})
                    | st.fixed_dictionaries({"--max-n": st.integers(-1, 6), "--max-budget": st.integers(4, 30)}))
 _verify_argvs = st.builds(lambda budgets, flags: ["verify", *budgets.items(), *flags.items()], _verify_budgets,
-                          st.fixed_dictionaries({"--instances": st.integers(-1, 20)}, optional=_run_flags))
+                          st.fixed_dictionaries({"--instances": st.integers(-1, 20)},
+                                                optional={"--seed": st.integers(-3, 5),
+                                                          "--no-timings": st.just(True)}))
 
 
 @settings(max_examples=100, deadline=None)
@@ -711,7 +826,7 @@ def fuzz_inputs(tmp_path_factory):
     assert main(["build-graph", "--input", str(tmp / "pool.jsonl"), "--k", "3", "--no-timings",
                  "-o", str(tmp / "g.json")]) == 0
     assert main(["select", "--input", str(tmp / "g.json"), "--K", "3", "--budget", "4",
-                 "--embeddings", str(tmp / "pool.jsonl"), "--no-timings", "-o", str(tmp / "s.json")]) == 0
+                 "--no-timings", "-o", str(tmp / "s.json")]) == 0
     return tmp, {kind: (tmp / name).read_bytes()
                  for kind, name in (("jsonl", "pool.jsonl"), ("binary", "pool.bin"), ("graph", "g.json"),
                                     ("selection", "s.json"), ("tests", "tests.jsonl"))}

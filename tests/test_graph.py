@@ -527,7 +527,7 @@ class TestBuildKnn:
     def test_deterministic_and_thread_count_independent(self):
         emb = generate_synthetic(300, 12, 5, 0.3, seed=8)
         blobs = {
-            json.dumps({**graph_to_dict(g, 10), "edges": g.edge_list().tolist()}, sort_keys=True)
+            json.dumps({**graph_to_dict(g, 10, emb.ids), "edges": g.edge_list().tolist()}, sort_keys=True)
             for g in (build_knn_graph(emb, 10, threads=t) for t in (1, 1, 4, 8))
         }
         assert len(blobs) == 1
@@ -559,7 +559,7 @@ class TestGraphFromEdges:
         edges = [(v, u, int(w)) if f else (u, v, int(w))
                  for (u, v), f, w in zip(pairs, flip, rng.integers(1, 100, size=len(pairs)))]
         self.check(n, edges)
-        assert graph_from_edges(n, edges).degree(n - 1) == 0
+        assert graph_from_edges(n, edges).degrees()[n - 1] == 0
 
     @pytest.mark.parametrize("n, edges", [(1, []), (5, []), (3, [(2, 0, 7)]), (4, [(3, 1, 2), (0, 3, 5)])])
     def test_small_and_empty_edge_lists(self, n, edges):
@@ -580,22 +580,22 @@ class TestGraphFromEdges:
 
 class TestDegree:
     def test_star_center(self):
-        assert star_graph(5).degree(0) == 5
+        assert star_graph(5).degrees().tolist() == [5, 1, 1, 1, 1, 1]
 
     def test_isolated_vertex(self):
         from fastgas.graph import graph_from_edges
 
         g = graph_from_edges(3, [(0, 1, 1)])
-        assert g.degree(2) == 0
+        assert g.degrees().tolist() == [1, 1, 0]
 
     def test_k4(self):
         from conftest import complete_graph
 
-        assert complete_graph(4).degree(2) == 3
+        assert complete_graph(4).degrees().tolist() == [3, 3, 3, 3]
 
     def test_out_of_range(self):
         with pytest.raises(InvalidParameter, match=r"vertex 9 out of range \[0, 4\)"):
-            star_graph(3).degree(9)
+            star_graph(3).neighbors_of(9)
 
 
 class TestInducedSubgraph:
@@ -655,12 +655,17 @@ class TestEdgeCut:
 
 
 class TestSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
+        """A graph written as the CLI writes it reads back with its ids."""
+        from fastgas.cli import _write_json
+
         emb = generate_synthetic(40, 6, 3, 0.3, seed=2)
         g = build_knn_graph(emb, 4)
-        back = graph_from_dict(graph_to_dict(g, 4))
+        _write_json(str(tmp_path / "g.json"), graph_to_dict(g, 4, emb.ids))
+        back, ids = load_graph(str(tmp_path / "g.json"))
         assert np.array_equal(back.edge_list(), g.edge_list())
         assert np.array_equal(back.vertex_weights, g.vertex_weights)
+        assert ids == emb.ids
 
     @pytest.mark.parametrize("edges,vertex_weights,words", [
         ([[0, 7, 1]], [1, 1, 1], "edge 0 [0, 7, 1]: endpoint outside [0, 3)"),
@@ -694,10 +699,16 @@ class TestSerialization:
         ([[0, 1, 1]], [1, 1, -1], "vertex weight 2 -1: negative"),
         # edges None: the document is a JSON array, not an object
         (None, None, "bad graph JSON: expected a JSON object"),
+        # a dict in place of vertex_weights holds other keys: the graph's ids
+        ([[0, 1, 1]], {"ids": "a,b,c"}, "bad graph JSON: ids must be a list of 3 strings"),
+        ([[0, 1, 1]], {"ids": ["a", "b"]}, "bad graph JSON: ids must be a list of 3 strings"),
+        ([[0, 1, 1]], {"ids": ["a", "b", 7]}, "bad graph JSON: id 2 7: not a string"),
     ])
     def test_malformed_graph_names_the_edge(self, edges, vertex_weights, words):
         doc = [1, 2] if edges is None else {"num_vertices": 3, "k": 1, "edges": edges}
-        if vertex_weights is not None:
+        if type(vertex_weights) is dict:
+            doc.update(vertex_weights)
+        elif vertex_weights is not None:
             doc["vertex_weights"] = vertex_weights
         with pytest.raises(FormatError) as e:
             graph_from_dict(doc)
@@ -714,7 +725,8 @@ class TestSerialization:
         with pytest.raises(FormatError, match="edge 1"):
             load_graph(str(p))
         p.write_text('{"num_vertices": 3, "edges": [[0, 1, 1], [1, 2, 1]], "k": 1}')
-        assert load_graph(str(p)).num_edges == 2
+        g, ids = load_graph(str(p))
+        assert g.num_edges == 2 and ids is None
 
     def test_negative_num_vertices(self):
         with pytest.raises(FormatError, match="num_vertices -1"):
