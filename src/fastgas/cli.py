@@ -1,19 +1,16 @@
 """Command-line pipeline: build-graph, partition, select, retrieve, bench, verify.
 
 Each subcommand's parser is its settings schema; `settle_args` settles every
-setting once, before dispatch. Precedence: CLI flags > JSON config file
-(--config) > preset > the flag's default; the environment sets nothing. A
-config key is the `dest` of one of the subcommand's optional flags (the flag
-name with `-` replaced by `_`), and its value must fit that flag's type and
-choices. The part cap (`partition.BALANCE_EPSILON`) and PageRank's damping,
-tolerance and step limit (`selection.PAGERANK_*`) are constants.
+setting once, before dispatch. A setting comes from its flag, else from
+`--preset`, else from the flag's default; the environment sets nothing. The
+part cap (`partition.BALANCE_EPSILON`) and PageRank's damping, tolerance and
+step limit (`selection.PAGERANK_*`) are constants.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import sys
@@ -22,7 +19,6 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import bench as bench_mod
 from .embeddings import load_embeddings
 from .errors import FastgasError, FormatError, InvalidParameter
 from .graph import build_knn_graph, graph_to_dict, load_graph
@@ -57,7 +53,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         """A subcommand with the shared flags, less the `unread` ones it has no use for."""
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(run=run)
-        sp.add_argument("--config", help="JSON config file; flags override its values")
         if "preset" not in unread:
             sp.add_argument("--preset", choices=sorted(PRESETS))
         sp.add_argument("--seed", type=int, default=0)
@@ -119,49 +114,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return p, sub.choices
 
 
-def _config_value(path: str, key: str, action: argparse.Action, value):
-    """`value` converted as its flag converts it; an error names the file and key."""
-    if isinstance(action.default, bool):
-        kinds, want = (bool,), "true or false"
-    elif action.type is int:
-        kinds, want = (int,), "an integer"
-    elif action.choices:
-        kinds, want = (str,), "one of " + ", ".join(action.choices)
-    else:
-        kinds, want = (str,), action.help if action.type else "a string"
-    try:
-        if type(value) in kinds:
-            value = action.type(value) if action.type else value
-            if action.choices is None or value in action.choices:
-                return value
-    except ValueError:
-        pass
-    raise InvalidParameter(f"config {path}: key {key!r} must be {want}, got {value!r}")
-
-
 def _layer_defaults(sp: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Replace the defaults of `sp` with the preset, then the config file, so
-    that parsing the command line again gives each layer its precedence.
-    Config keys and values are checked against `sp`'s flags."""
-    flags = {a.dest: a for a in sp._actions if a.option_strings and not a.required
-             and a.dest not in ("help", "config", "preset")}
-    layers = {}
+    """Replace the defaults of `sp` with the preset's values for its flags,
+    so that parsing the command line again lets a flag override them."""
     if getattr(args, "preset", None):
-        layers.update((k, v) for k, v in PRESETS[args.preset].items() if k in flags)
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as f:
-                config = json.load(f)
-        except (OSError, ValueError) as e:
-            raise InvalidParameter(f"config {args.config}: cannot read: {e}") from None
-        if type(config) is not dict:
-            raise InvalidParameter(f"config {args.config}: expected a JSON object")
-        for key, value in config.items():
-            if key not in flags:
-                raise InvalidParameter(f"config {args.config}: unknown key {key!r} for "
-                                       f"{args.command}; valid keys: {', '.join(sorted(flags))}")
-            layers[key] = _config_value(args.config, key, flags[key], value)
-    sp.set_defaults(**layers)
+        dests = {a.dest for a in sp._actions}
+        sp.set_defaults(**{k: v for k, v in PRESETS[args.preset].items() if k in dests})
 
 
 def _json_pieces(obj):
@@ -300,14 +258,20 @@ def _cmd_retrieve(args) -> int:
     return 0
 
 
+# bench and verify import their modules when run, so the pipeline's stages
+# do not load them at start-up
 def _cmd_bench(args) -> int:
+    import csv
+
+    from .bench import run_bench
+
     # the CSV table goes next to the JSON report, with the suffix .csv
     csv_path = os.path.splitext(args.output)[0] + ".csv" if args.output else None
     if args.output and csv_path == args.output:
         raise InvalidParameter(f"bench would write both its JSON report and its CSV table to {csv_path}; "
                                "give --output a path that does not end in .csv")
-    report = bench_mod.run_bench(args.sizes, d=args.d, k=args.k, K=args.K, M=args.budget,
-                                 seed=args.seed, repeats=args.repeats, threads=args.threads)
+    report = run_bench(args.sizes, d=args.d, k=args.k, K=args.K, M=args.budget,
+                       seed=args.seed, repeats=args.repeats, threads=args.threads)
     _write_json(args.output, report)
     if csv_path:
         with open(csv_path, "w", encoding="utf-8", newline="") as f:
@@ -318,8 +282,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report, ms = _timed(lambda: bench_mod.run_verify(max_n=args.max_n, max_budget=args.max_budget,
-                                                     instances=args.instances, seed=args.seed))
+    from .bench import run_verify
+
+    report, ms = _timed(lambda: run_verify(max_n=args.max_n, max_budget=args.max_budget,
+                                           instances=args.instances, seed=args.seed))
     _write_output(args, report, "verify", ms)
     print(f"exact-optimal {report['exact_optimal']}/{report['instances']}"
           f" min_ratio={report['min_ratio']} argmax_violations={report['argmax_violations']}",
@@ -328,9 +294,9 @@ def _cmd_verify(args) -> int:
 
 
 def settle_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Every setting of `argv`'s subcommand, from its flags, config file,
-    preset and defaults in that order. An argv that does not parse exits 2;
-    a bad config or `--threads` raises InvalidParameter."""
+    """Every setting of `argv`'s subcommand, from its flags, preset and
+    defaults in that order. An argv that does not parse exits 2; a
+    `--threads` below 1 raises InvalidParameter."""
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     _layer_defaults(commands[args.command], args)

@@ -6,8 +6,7 @@ with the class's code.
    different dimensions, or a vertex weight other than 1 given to the
    K-way partitioner.
 2, InvalidParameter: a setting or argument out of range, such as k, K, a
-   budget, m, a vertex index or a config key, or a selection with no
-   instances.
+   budget, m or a vertex index, or a selection with no instances.
 3, InternalError: the program broke one of its own invariants.
 """
 

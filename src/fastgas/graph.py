@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 
@@ -308,13 +307,15 @@ def _screen_rows(vecs: np.ndarray, perm: np.ndarray, starts: np.ndarray) -> tupl
     0, and its radius the largest distance of a row to the centre. One eps
     serves every pair, so centring pays only if every block's radius is at
     most _CENTRED_RADIUS: then each row is screened as its residual from its
-    block's centre, else as itself."""
+    block's centre, else as itself. Once one block's radius exceeds that,
+    the radii of the blocks after it are not measured and are inf."""
     (n, d), nb = vecs.shape, len(starts) - 1
     norms = np.empty(n)
     centres = np.empty((nb, d))
-    radius = np.empty(nb)
+    radius = np.full(nb, np.inf)
     res = np.empty((n, d), dtype=np.float32)
     r = np.empty((np.diff(starts).max(), d))
+    centred = True
     for a in range(nb):
         rows = perm[starts[a]:starts[a + 1]]
         x = vecs[rows].astype(np.float64)
@@ -323,10 +324,12 @@ def _screen_rows(vecs: np.ndarray, perm: np.ndarray, starts: np.ndarray) -> tupl
         total = x.sum(axis=0)
         norm = np.linalg.norm(total)
         centres[a] = total / norm if norm > 0 else x[0]
-        ra = np.subtract(x, centres[a], out=r[:len(x)])
-        radius[a] = np.sqrt(np.einsum("ij,ij->i", ra, ra).max())
-        res[starts[a]:starts[a + 1]] = ra if radius[a] <= _CENTRED_RADIUS else x
-    if radius.max() > _CENTRED_RADIUS:
+        if centred:
+            ra = np.subtract(x, centres[a], out=r[:len(x)])
+            radius[a] = np.sqrt(np.einsum("ij,ij->i", ra, ra).max())
+            centred = radius[a] <= _CENTRED_RADIUS
+        res[starts[a]:starts[a + 1]] = ra if centred else x
+    if not centred:
         for a in np.flatnonzero(radius <= _CENTRED_RADIUS):
             rows = perm[starts[a]:starts[a + 1]]
             res[starts[a]:starts[a + 1]] = np.divide(vecs[rows], norms[rows, None])
@@ -346,6 +349,9 @@ def _knn_screen(res: np.ndarray, centres: np.ndarray, radius: np.ndarray, starts
     centred = radius.max() <= _CENTRED_RADIUS
     # zc[a, b]: z_a·z_b, with z the centres if centred, else 0
     zc = centres @ centres.T if centred else np.zeros((nb, nb))
+    # rz[i, b]: r_i·c_b in float64, from which the centred product takes its
+    # terms r_i·z_b and z_a·r_j; the plain one needs none and skips the table
+    rz = np.empty((len(res), nb)) if centred else None
 
     # eps/2 bounds |s32 - s64| (see build_knn_graph): _rounding_error for
     # the largest radius, the rounding of the float64 terms' sum, and 2u of
@@ -360,7 +366,10 @@ def _knn_screen(res: np.ndarray, centres: np.ndarray, radius: np.ndarray, starts
     near = np.empty((nb, nb))
     far = np.empty(nb)
     for a in range(nb):
-        g = res[starts[a]:starts[a + 1]] @ centres.T + zc[a]
+        g = res[starts[a]:starts[a + 1]] @ centres.T
+        if centred:
+            rz[starts[a]:starts[a + 1]] = g
+        g += zc[a]
         near[a], far[a] = g.max(axis=0), g[:, a].min()
     alpha = np.arccos(np.clip(near + eps / 2, -1, 1))
     theta = np.arccos(np.clip(far - eps / 2, -1, 1))
@@ -396,14 +405,14 @@ def _knn_screen(res: np.ndarray, centres: np.ndarray, radius: np.ndarray, starts
             off += end - first
         if centred:
             # r_i·c_b + c_a·c_b of each row i and block b, plus c_a·r_j of
-            # each column j, which for block a itself is its row's first term
-            row = rows @ centres[blocks].T + zc[a, blocks]
+            # each column j
+            row = rz[starts[a]:starts[a + 1], blocks] + zc[a, blocks]
             off = 0
             for i, b in enumerate(blocks):
                 cols = s[:, off:off + sizes[b]]
                 off += sizes[b]
-                col = row[:, i] - zc[a, a] if b == a else res[starts[b]:starts[b + 1]] @ centres[a]
-                np.add(cols, np.add.outer(row[:, i], col), out=cols, casting="same_kind")
+                np.add(cols, np.add.outer(row[:, i], rz[starts[b]:starts[b + 1], a]), out=cols,
+                       casting="same_kind")
         return s
 
     def thresholds(a: int, buf: np.ndarray):
@@ -483,6 +492,9 @@ def _knn_screen(res: np.ndarray, centres: np.ndarray, radius: np.ndarray, starts
         if workers == 1:
             per_worker = [work(0)]
         else:
+            # imported here, so that a one-thread run does not load it at start-up
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as ex:
                 per_worker = list(ex.map(work, range(workers)))
         return [x for w in per_worker for x in w if len(x)]

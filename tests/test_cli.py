@@ -3,7 +3,10 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -119,28 +122,19 @@ def test_select_embeddings_flag_is_gone(workspace, capsys):
         main([*argv, "--embeddings", str(pool)])
     assert e.value.code == 2
     assert "unrecognized arguments: --embeddings" in capsys.readouterr().err
-    cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps({"embeddings": str(pool)}))
-    assert main([*argv, "--config", str(cfg)]) == 2
-    assert "unknown key 'embeddings'" in capsys.readouterr().err
     assert not (tmp / "s.json").exists()
 
 
-@pytest.mark.parametrize("method, source", [
-    ("fastgas", "flags"), ("random", "config"), ("top-degree", "flags"), ("pagerank", "config"),
-])
-def test_graph_method_rejects_format(workspace, capsys, method, source):
+@pytest.mark.parametrize("method", ["fastgas", "random", "top-degree", "pagerank"])
+def test_graph_method_rejects_format(workspace, capsys, method):
     """--format sets subcluster's embeddings format; a graph method, whose
     input is a graph JSON, exits 2 naming both settings."""
     tmp, pool, _ = workspace
     assert main(["build-graph", "--input", str(pool), "--k", "5", "-o", str(tmp / "g.json")]) == 0
-    cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps({"format": "jsonl"}))
-    given = ["--config", str(cfg)] if source == "config" else ["--format", "jsonl"]
     out = tmp / "s.json"
     capsys.readouterr()
     assert main(["select", "--input", str(tmp / "g.json"), "--method", method, "--budget", "4",
-                 *given, "-o", str(out)]) == 2
+                 "--format", "jsonl", "-o", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: format jsonl needs method subcluster; method {method} reads a graph JSON, "
         "whose format is fixed"]
@@ -157,20 +151,6 @@ def test_random_retrieve_mode(workspace):
                  "--m", "4", "--seed", "1", "-o", str(tmp / "r.json")]) == 0
     plan = json.loads((tmp / "r.json").read_text())
     assert plan["mode"] == "random"
-
-
-def test_config_file_precedence(workspace):
-    tmp, pool, _ = workspace
-    main(["build-graph", "--input", str(pool), "--k", "5", "-o", str(tmp / "g.json")])
-    cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps({"budget": 6, "seed": 3}))
-    main(["select", "--input", str(tmp / "g.json"), "--method", "random",
-          "--config", str(cfg), "-o", str(tmp / "s1.json")])
-    assert len(json.loads((tmp / "s1.json").read_text())["selected"]) == 6
-    # flag overrides config
-    main(["select", "--input", str(tmp / "g.json"), "--method", "random",
-          "--config", str(cfg), "--budget", "9", "-o", str(tmp / "s2.json")])
-    assert len(json.loads((tmp / "s2.json").read_text())["selected"]) == 9
 
 
 def test_preset(workspace):
@@ -256,31 +236,25 @@ def test_subcluster_on_duplicate_rows(tmp_path):
 
 
 def test_bench_rejects_no_timings(tmp_path, capsys):
-    """bench's whole report is timings, so it has no --no-timings flag or
-    no_timings config key."""
-    out, cfg = tmp_path / "b.json", tmp_path / "cfg.json"
+    """bench's whole report is timings, so it has no --no-timings flag."""
+    out = tmp_path / "b.json"
     argv = ["bench", "--sizes", "60", "--budget", "6", "-o", str(out)]
     with pytest.raises(SystemExit) as e:
         main([*argv, "--no-timings"])
     assert e.value.code == 2
     assert "unrecognized arguments: --no-timings" in capsys.readouterr().err
-    cfg.write_text(json.dumps({"no_timings": True}))
-    assert main([*argv, "--config", str(cfg)]) == 2
-    assert "unknown key 'no_timings'" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_verify_has_no_preset_or_threads(tmp_path, capsys):
     """No preset key applies to verify, which runs on one thread."""
-    out, cfg = tmp_path / "v.json", tmp_path / "cfg.json"
+    out = tmp_path / "v.json"
     argv = ["verify", "--instances", "3", "-o", str(out)]
-    with pytest.raises(SystemExit) as e:
-        main([*argv, "--preset", "paper-18"])
-    assert e.value.code == 2
-    assert "unrecognized arguments: --preset" in capsys.readouterr().err
-    cfg.write_text(json.dumps({"threads": 2}))
-    assert main([*argv, "--config", str(cfg)]) == 2
-    assert "unknown key 'threads'" in capsys.readouterr().err
+    for flag, value in (("--preset", "paper-18"), ("--threads", "2")):
+        with pytest.raises(SystemExit) as e:
+            main([*argv, flag, value])
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -337,15 +311,6 @@ def test_threads_below_one_exits_2(argv, threads, tmp_path, capsys):
         assert main(argv) == 2
         assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_threads_below_one_from_config_exits_2(workspace, capsys):
-    tmp, pool, _ = workspace
-    cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps({"threads": 0}))
-    assert main(["build-graph", "--input", str(pool), "--config", str(cfg),
-                 "-o", str(tmp / "g.json")]) == 2
-    assert "--threads must be at least 1" in capsys.readouterr().err
 
 
 _json_scalars = (
@@ -459,39 +424,28 @@ def test_every_raise_names_one_exit_code():
             assert not [c for c in classes if issubclass(getattr(module, c), BaseException)], path.name
 
 
-@pytest.mark.parametrize("command, text, words", [
-    ("select", "{bad", ["cannot read"]),
-    ("select", "[1, 2]", ["expected a JSON object"]),
-    ("build-graph", '{"k": "abc"}', ["'k'", "an integer"]),
-    ("select", '{"budgte": 5}', ["'budgte'", "unknown key"]),
-    ("retrieve", '{"mode": "nope"}', ["'mode'", "one of similar, random"]),
-    ("select", '{"budget": 6.7}', ["'budget'", "an integer"]),
-    ("select", '{"budget": true}', ["'budget'", "an integer"]),
-    ("select", '{"damping": "0.5"}', ["'damping'", "unknown key"]),
-    ("select", '{"no_timings": 1}', ["'no_timings'", "true or false"]),
-    ("select", '{"epsilon": 0.5}', ["'epsilon'", "unknown key"]),
-    ("select", '{"input": "g.json"}', ["'input'", "unknown key"]),
-    ("select", '{"config": "c.json"}', ["'config'", "unknown key"]),
-    ("retrieve", '{"budget": 5}', ["'budget'", "unknown key"]),
-    ("bench", '{"sizes": "1,x"}', ["'sizes'", "comma-separated"]),
-    ("bench", '{"sizes": [100]}', ["'sizes'", "comma-separated"]),
-])
-def test_bad_config_exits_2(built, capsys, command, text, words):
-    tmp, pool, tests = built
-    cfg = tmp / "cfg.json"
-    cfg.write_text(text)
-    out = tmp / "out.json"
-    assert main([*_argv(command, tmp, pool, tests), "--config", str(cfg), "-o", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert str(cfg) in err and all(w in err for w in words), err
+@pytest.mark.parametrize("command", ["build-graph", "partition", "select", "retrieve", "bench", "verify"])
+def test_config_flag_is_gone(tmp_path, capsys, command):
+    """A setting comes from its flag, the preset or its default: no
+    subcommand reads a config file."""
+    (tmp_path / "c.json").write_text(json.dumps({"seed": 1}))
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as e:
+        main([*_argv(command, tmp_path, tmp_path / "pool.jsonl", tmp_path / "tests.bin"),
+              "--config", str(tmp_path / "c.json"), "-o", str(out)])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_missing_config_exits_2(built, capsys):
-    tmp, pool, tests = built
-    assert main(["select", "--input", str(tmp / "g.json"), "--config", str(tmp / "nope.json"),
-                 "-o", str(tmp / "out.json")]) == 2
-    assert "nope.json" in capsys.readouterr().err
+def test_start_up_leaves_out_bench_csv_and_thread_pools():
+    """`import fastgas.cli`, which every stage pays for, loads none of the
+    modules that only bench, verify and a multi-threaded kNN use."""
+    code = ("import sys, fastgas.cli; "
+            "print(*[m for m in ('concurrent.futures', 'csv', 'fastgas.bench') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 @pytest.mark.parametrize("value", ["abc", "5"])
@@ -504,22 +458,13 @@ def test_fastgas_seed_env_is_ignored(built, monkeypatch, value):
     assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
 
 
-def test_config_no_timings_takes_effect(built):
-    tmp, _, _ = built
-    cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps({"no_timings": True}))
-    assert main(["select", "--input", str(tmp / "g.json"), "--config", str(cfg),
-                 "-o", str(tmp / "out.json")]) == 0
-    assert "timings_ms" not in json.loads((tmp / "out.json").read_text())
-
-
 @pytest.mark.parametrize("command, flag", [
     ("select", "--epsilon"), ("select", "--damping"), ("select", "--tol"), ("select", "--max-iters"),
     ("partition", "--epsilon"),
 ])
 def test_removed_setting_exits_2(built, capsys, command, flag):
     """The balance tolerance and PageRank's damping, tolerance and step
-    limit are constants: neither a flag nor a config key sets them."""
+    limit are constants: no flag sets them."""
     tmp, _, _ = built
     out = tmp / "o.json"
     argv = [command, "--input", str(tmp / "g.json"), "-o", str(out)]
@@ -527,24 +472,14 @@ def test_removed_setting_exits_2(built, capsys, command, flag):
         main([*argv, flag, "1"])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
-    key = flag[2:].replace("-", "_")
-    cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps({key: 1}))
-    assert main([*argv, "--config", str(cfg)]) == 2
-    assert f"unknown key {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", ["flags", "config"])
-def test_random_retrieve_rejects_desc_order(built, capsys, source):
+def test_random_retrieve_rejects_desc_order(built, capsys):
     tmp, pool, tests = built
-    settings = {"mode": "random", "order": "desc"}
-    cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps(settings))
-    given = ["--config", str(cfg)] if source == "config" else [
-        f"--{key}={value}" for key, value in settings.items()]
     out = tmp / "r.json"
-    assert main([*_argv("retrieve", tmp, pool, tests), *given, "-o", str(out)]) == 2
+    assert main([*_argv("retrieve", tmp, pool, tests), "--mode", "random", "--order", "desc",
+                 "-o", str(out)]) == 2
     assert "order desc needs mode similar; mode random" in capsys.readouterr().err
     assert not out.exists()
 
@@ -560,16 +495,6 @@ def test_subcluster_budget_below_k_exits_2(built, capsys, argv):
     assert ("subcluster needs a budget of at least K = 10, one instance per cluster; got budget 5"
             in capsys.readouterr().err)
     assert not out.exists()
-
-
-def test_config_beats_preset(built):
-    tmp, _, _ = built
-    cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps({"budget": 7, "seed": 9}))
-    assert main(["select", "--input", str(tmp / "g.json"), "--preset", "paper-18",
-                 "--config", str(cfg), "--no-timings", "-o", str(tmp / "s.json")]) == 0
-    sel = json.loads((tmp / "s.json").read_text())
-    assert (sel["budget"], sel["K"], sel["seed"]) == (7, 6, 9)
 
 
 def test_preset_and_flags_both_apply(built):
@@ -738,67 +663,55 @@ def tiny_pool(tmp_path_factory):
     return tmp
 
 
-# plausible values of select's or retrieve's keys, edge values included
-_common = {"seed": st.integers(-3, 5), "threads": st.integers(-1, 3), "no_timings": st.booleans(),
-           "format": st.sampled_from(["jsonl", "binary"])}
-_plausible = st.fixed_dictionaries({}, optional={
-    **_common, "method": st.sampled_from(["fastgas", "random", "top-degree", "pagerank", "subcluster"]),
-    "budget": st.integers(-2, 45), "K": st.integers(-1, 45),
-}) | st.fixed_dictionaries({}, optional={
-    **_common, "tests_format": st.sampled_from(["jsonl", "binary"]),
-    "mode": st.sampled_from(["similar", "random"]), "m": st.integers(-1, 6),
-    "order": st.sampled_from(["asc", "desc"]),
+def _flag_argv(command: str, flags: dict) -> list[str]:
+    """`command` with `flags`, each written `--flag=value` so a negative
+    value is not read as a flag, and a switch drawn as True as itself."""
+    return [command, *(flag if value is True else f"{flag}={value}" for flag, value in flags.items())]
+
+
+# select's and retrieve's flags, edge values included
+_common = {"--seed": st.integers(-3, 5), "--threads": st.integers(-1, 3), "--no-timings": st.just(True),
+           "--format": st.sampled_from(["jsonl", "binary"]),
+           "--preset": st.sampled_from(["paper-18", "paper-100"])}
+_select_flags = st.fixed_dictionaries({}, optional={
+    **_common, "--budget": st.integers(-2, 45), "--K": st.integers(-1, 45),
 })
-_config_keys = st.sampled_from([
-    # select and retrieve keys
-    "seed", "threads", "no_timings", "output", "format", "method", "budget", "K",
-    "tests_format", "mode", "m", "order",
-    # typos, removed settings, other subcommands' keys and non-flag names
-    "budgte", "embeddings", "max-iters", "damping", "tol", "max_iters", "epsilon", "k", "sizes",
-    "instances", "input", "selection", "config", "preset", "command", "",
-])
-_config_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 45) | st.floats() | st.text(max_size=6)
-    | st.sampled_from(["jsonl", "binary", "fastgas", "random", "similar", "asc", "paper-18"]),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=6,
-)
-_configs = _plausible | st.builds(lambda a, b: {**a, **b}, _plausible,
-                                  st.dictionaries(_config_keys, _config_values, max_size=3))
+_retrieve_flags = st.fixed_dictionaries({}, optional={
+    **_common, "--tests-format": st.sampled_from(["jsonl", "binary"]), "--m": st.integers(-1, 6),
+    "--order": st.sampled_from(["asc", "desc"]),
+})
 
 
 @settings(max_examples=150, deadline=None)
-@given(config=_configs)
-def test_random_config_never_tracebacks(tiny_pool, config):
+@given(select=_select_flags, retrieve=_retrieve_flags)
+def test_random_select_and_retrieve_flags_never_traceback(tiny_pool, select, retrieve):
     tmp = tiny_pool
-    cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    # each method and mode as a flag, so every one meets every config
-    argvs = [["select", "--input", str(tmp / "g.json"), "--method", method]
+    # every method and mode meets every draw of the other flags
+    argvs = [[*_flag_argv("select", select), "--input", str(tmp / "g.json"), "--method", method]
              for method in ("fastgas", "random", "top-degree", "pagerank", "subcluster")]
-    argvs += [["retrieve", "--input", str(tmp / "pool.jsonl"), "--tests", str(tmp / "tests.jsonl"),
-               "--selection", str(tmp / "s.json"), "--mode", mode] for mode in ("similar", "random")]
+    argvs += [[*_flag_argv("retrieve", retrieve), "--input", str(tmp / "pool.jsonl"),
+               "--tests", str(tmp / "tests.jsonl"), "--selection", str(tmp / "s.json"), "--mode", mode]
+              for mode in ("similar", "random")]
     for argv in argvs:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            rc = main([*argv, "--config", str(cfg), "-o", str(tmp / "out.json")])
+            rc = main([*argv, "-o", str(tmp / "out.json")])
         assert rc in (0, 1, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
 
 
-# bench and verify flags, edge values included, written `--flag=value` so a
-# negative value is not read as a flag; pools stay at most 64 vectors and
-# verify's budget small enough for its exhaustive oracle
+# bench and verify flags, edge values included; pools stay at most 64
+# vectors and verify's budget small enough for its exhaustive oracle
 _bench_argvs = st.fixed_dictionaries({
     "--sizes": st.lists(st.integers(-1, 64), max_size=3).map(lambda s: ",".join(map(str, s))),
 }, optional={
     "--seed": st.integers(-3, 5), "--threads": st.integers(-1, 3), "--d": st.integers(-1, 8),
     "--k": st.integers(-1, 12), "--K": st.integers(-1, 12), "--budget": st.integers(-1, 70),
     "--repeats": st.integers(-1, 2),
-}).map(lambda flags: ["bench", *flags.items()])
+}).map(lambda flags: _flag_argv("bench", flags))
 _verify_budgets = (st.fixed_dictionaries({"--max-n": st.integers(-1, 25), "--max-budget": st.integers(-1, 3)})
                    | st.fixed_dictionaries({"--max-n": st.integers(-1, 6), "--max-budget": st.integers(4, 30)}))
-_verify_argvs = st.builds(lambda budgets, flags: ["verify", *budgets.items(), *flags.items()], _verify_budgets,
+_verify_argvs = st.builds(lambda budgets, flags: _flag_argv("verify", {**budgets, **flags}), _verify_budgets,
                           st.fixed_dictionaries({"--instances": st.integers(-1, 20)},
                                                 optional={"--seed": st.integers(-3, 5),
                                                           "--no-timings": st.just(True)}))
@@ -808,7 +721,6 @@ _verify_argvs = st.builds(lambda budgets, flags: ["verify", *budgets.items(), *f
 @given(argv=_bench_argvs | _verify_argvs)
 def test_random_bench_and_verify_flags_never_traceback(tmp_path_factory, argv):
     out = tmp_path_factory.mktemp("run") / "out.json"
-    argv = [argv[0], *(flag if value is True else f"{flag}={value}" for flag, value in argv[1:])]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = main([*argv, "-o", str(out)])

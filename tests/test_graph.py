@@ -387,6 +387,32 @@ class TestKnnExactness:
         assert plain["corrected"] == 0
         assert centred["reranked"] <= 0.02 * plain["reranked"]
 
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_tight_blocks_then_a_loose_one(self, threads):
+        # blocks of 32 rows in pool order: four tight ones, two loose ones
+        # and two tight ones; the screen writes the first four as residuals,
+        # measures the first loose one, then takes every block as plain rows
+        # and measures no radius after it
+        rng = np.random.default_rng(14)
+        x = np.concatenate([tight_clusters(rng, 64, 16, [s]) for s in (0.05, 0.05, 1.5, 0.05)])
+        emb = as_emb(x)
+        starts = np.arange(0, 257, 32)
+        screen_rows, got = graph._screen_rows, {}
+
+        def capture(vecs, perm, starts):
+            got["radius"], got["res"] = (out := screen_rows(vecs, perm, starts))[2:]
+            return out
+
+        with mock.patch.object(graph, "_block_order", lambda v: (np.arange(len(v)), starts)), \
+                mock.patch.object(graph, "_screen_rows", capture):
+            edges = {tuple(e[:2]) for e in build_knn_graph(emb, 5, threads=threads).edge_list().tolist()}
+        radius = got["radius"]
+        assert np.all(radius[:4] <= graph._CENTRED_RADIUS) and radius[4] > graph._CENTRED_RADIUS
+        assert np.all(np.isinf(radius[5:]))
+        unit = x.astype(np.float64) / np.linalg.norm(x.astype(np.float64), axis=1)[:, None]
+        assert np.array_equal(got["res"], unit.astype(np.float32))
+        assert edges == per_row_knn_oracle(emb, 5)
+
     @pytest.mark.parametrize("k", [3, 12, 40])
     def test_blocks_of_k_rows_or_fewer(self, k):
         # blocks of 3 rows: each widens its thresholds to its nearest blocks
