@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -90,9 +89,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--tests", required=True, help="test embeddings file")
     sp.add_argument("--tests-format", choices=["jsonl", "binary"], help="default: --format")
     sp.add_argument("--mode", choices=["similar", "random"], default="similar")
-    sp.add_argument("--m", type=int, default=5, help="examples per prompt")
-    sp.add_argument("--order", choices=["asc", "desc"], default="asc",
-                    help="similar mode: asc puts the most similar example last")
+    sp.add_argument("--m", type=int, default=5,
+                    help="examples per prompt; similar mode puts the most similar last")
 
     # bench's whole report is timings
     sp = command("bench", _cmd_bench, "time the pipeline and baselines on synthetic pools",
@@ -243,14 +241,11 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    if args.mode == "random" and args.order != "asc":
-        raise InvalidParameter(f"order {args.order} needs mode similar; mode random "
-                               "draws each test's examples in random order")
     pool = load_embeddings(args.input, args.format)
     selected = _load_selection(args.selection, pool.ids)
     tests = load_embeddings(args.tests, args.tests_format or args.format)
     if args.mode == "similar":
-        plan, ms = _timed(lambda: retrieve_similar(pool, selected, tests, args.m, order=args.order))
+        plan, ms = _timed(lambda: retrieve_similar(pool, selected, tests, args.m))
     else:
         ids = [pool.ids[i] for i in selected]
         plan, ms = _timed(lambda: retrieve_random(ids, tests.ids, args.m, args.seed))
@@ -261,23 +256,10 @@ def _cmd_retrieve(args) -> int:
 # bench and verify import their modules when run, so the pipeline's stages
 # do not load them at start-up
 def _cmd_bench(args) -> int:
-    import csv
-
     from .bench import run_bench
 
-    # the CSV table goes next to the JSON report, with the suffix .csv
-    csv_path = os.path.splitext(args.output)[0] + ".csv" if args.output else None
-    if args.output and csv_path == args.output:
-        raise InvalidParameter(f"bench would write both its JSON report and its CSV table to {csv_path}; "
-                               "give --output a path that does not end in .csv")
-    report = run_bench(args.sizes, d=args.d, k=args.k, K=args.K, M=args.budget,
-                       seed=args.seed, repeats=args.repeats, threads=args.threads)
-    _write_json(args.output, report)
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=list(report["rows"][0]))
-            writer.writeheader()
-            writer.writerows(report["rows"])
+    _write_json(args.output, run_bench(args.sizes, d=args.d, k=args.k, K=args.K, M=args.budget,
+                                       seed=args.seed, repeats=args.repeats, threads=args.threads))
     return 0
 
 

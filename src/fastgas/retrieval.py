@@ -15,15 +15,9 @@ class RetrievalPlan:
     per_test: dict[str, list[str]]  # test id -> ordered selected-instance ids
     m: int
     mode: str  # "similar" or "random"
-    order: str = "asc"
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "m": self.m,
-            "order": self.order,
-            "per_test": self.per_test,
-        }
+        return {"mode": self.mode, "m": self.m, "per_test": self.per_test}
 
 
 def retrieve_similar(
@@ -31,40 +25,34 @@ def retrieve_similar(
     selected: list[int],
     tests: EmbeddingMatrix,
     m: int,
-    order: str = "asc",
 ) -> RetrievalPlan:
-    """Rank the selected instances by cosine similarity to each test vector.
-
-    Ties break toward the lower pool index. With order="asc" the most similar
-    example comes last (adjacent to the test input in the prompt).
+    """Each test's m most similar selected instances by cosine similarity,
+    listed from least to most similar, so the most similar example comes last
+    (adjacent to the test input in the prompt). Ties break toward the lower
+    pool index.
     """
     if not selected:
         raise InvalidParameter("no selected instances to retrieve from")
     if m < 1:
         raise InvalidParameter(f"m must be >= 1, got {m}")
-    if order not in ("asc", "desc"):
-        raise InvalidParameter(f"order must be asc or desc, got {order!r}")
     sel = np.asarray(selected, dtype=np.int64)
     if sel.min() < 0 or sel.max() >= pool.n:
         raise InvalidParameter(f"selected index outside [0, {pool.n})")
     if pool.dim != tests.dim:
         raise FormatError(f"pool dim {pool.dim} != test dim {tests.dim}")
 
+    sel = np.sort(sel)  # pool-index order, so the stable sort below breaks ties to the lower index
     xs = pool.vectors[sel].astype(np.float64)
     xs /= np.linalg.norm(xs, axis=1)[:, None]
     xt = tests.vectors.astype(np.float64)
     xt /= np.linalg.norm(xt, axis=1)[:, None]
     sims = xt @ xs.T  # tests x selected
 
-    take = min(m, len(sel))
-    per_test: dict[str, list[str]] = {}
-    for t in range(tests.n):
-        rank = np.lexsort((sel, -sims[t]))[:take]  # best first, ties to low pool index
-        chosen = sel[rank]
-        if order == "asc":
-            chosen = chosen[::-1]  # most similar last
-        per_test[tests.ids[t]] = [pool.ids[i] for i in chosen]
-    return RetrievalPlan(per_test=per_test, m=m, mode="similar", order=order)
+    rank = np.argsort(-sims, axis=1, kind="stable")[:, :min(m, len(sel))]  # best first
+    chosen = sel[rank[:, ::-1]].tolist()  # most similar last
+    ids = pool.ids
+    per_test = {tid: [ids[i] for i in row] for tid, row in zip(tests.ids, chosen)}
+    return RetrievalPlan(per_test=per_test, m=m, mode="similar")
 
 
 def retrieve_random(

@@ -130,11 +130,15 @@ def allocate_quotas(sizes: list[int], M: int) -> list[int]:
     return quotas
 
 
-def fastgas_select(g: SimilarityGraph, K: int, M: int, seed: int) -> SelectionResult:
-    """Partition into K parts and greedily pick each part's quota by residual degree."""
-    n = g.num_vertices
+def _check_budget(M: int, n: int) -> None:
+    """A selection method's budget picks at least one of the n vertices."""
     if not 1 <= M <= n:
         raise InvalidParameter(f"budget {M} outside [1, {n}]")
+
+
+def fastgas_select(g: SimilarityGraph, K: int, M: int, seed: int) -> SelectionResult:
+    """Partition into K parts and greedily pick each part's quota by residual degree."""
+    _check_budget(M, g.num_vertices)
     return select_per_part(g, partition_kway(g, K, seed), M, seed)
 
 
@@ -161,8 +165,7 @@ def select_per_part(g: SimilarityGraph, part: Partition, M: int, seed: int) -> S
 
 
 def random_select(N: int, M: int, seed: int) -> SelectionResult:
-    if not 0 <= M <= N:
-        raise InvalidParameter(f"budget {M} outside [0, {N}]")
+    _check_budget(M, N)
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     picks = rng.choice(N, size=M, replace=False).tolist()
     return SelectionResult(selected=picks, method="random", budget=M, seed=seed)
@@ -170,8 +173,7 @@ def random_select(N: int, M: int, seed: int) -> SelectionResult:
 
 def top_degree_select(g: SimilarityGraph, M: int) -> SelectionResult:
     """Static baseline: the M highest-degree vertices, no residual updates."""
-    if not 0 <= M <= g.num_vertices:
-        raise InvalidParameter(f"budget {M} outside [0, {g.num_vertices}]")
+    _check_budget(M, g.num_vertices)
     deg = np.diff(g.indptr)
     idx = np.arange(g.num_vertices)
     order = np.lexsort((idx, -deg))
@@ -207,8 +209,7 @@ def pagerank_scores(g: SimilarityGraph) -> np.ndarray:
 
 
 def pagerank_select(g: SimilarityGraph, M: int) -> SelectionResult:
-    if not 0 <= M <= g.num_vertices:
-        raise InvalidParameter(f"budget {M} outside [0, {g.num_vertices}]")
+    _check_budget(M, g.num_vertices)
     scores = pagerank_scores(g)
     idx = np.arange(g.num_vertices)
     order = np.lexsort((idx, -scores))

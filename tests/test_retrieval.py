@@ -41,14 +41,6 @@ class TestRetrieveSimilar:
             ]
             assert sims == sorted(sims)  # most similar last
 
-    def test_descending_flag(self):
-        pool = generate_synthetic(30, 6, 3, 0.4, seed=3)
-        tests = generate_synthetic(2, 6, 2, 0.4, seed=9)
-        asc = retrieve_similar(pool, list(range(30)), tests, 4, order="asc")
-        desc = retrieve_similar(pool, list(range(30)), tests, 4, order="desc")
-        for tid in asc.per_test:
-            assert asc.per_test[tid] == desc.per_test[tid][::-1]
-
     def test_matches_brute_force_oracle(self, rng):
         for trial in range(20):
             pool = generate_synthetic(25, 5, 3, 0.5, seed=trial)
@@ -59,6 +51,23 @@ class TestRetrieveSimilar:
             for t in range(tests.n):
                 expected = brute_force_top_m(pool, selected, tests.vectors[t], m)
                 assert set(plan.per_test[tests.ids[t]]) == set(expected)
+
+    def test_matches_brute_force_ranking_in_order(self):
+        """An unsorted selection with tied rows: each plan is the oracle's
+        ranking reversed, the most similar last and ties to the lower index."""
+        pool = generate_synthetic(16, 5, 3, 0.5, seed=4)
+        vectors = pool.vectors.copy()
+        vectors[[5, 9]] = vectors[2]
+        pool = EmbeddingMatrix(ids=pool.ids, vectors=vectors)
+        selected = [9, 2, 5, 14, 0, 7, 11]
+        tests = generate_synthetic(6, 5, 2, 0.5, seed=8)
+        tests = EmbeddingMatrix(ids=tests.ids, vectors=np.vstack([vectors[2:3], tests.vectors[1:]]))
+        for m in range(1, len(selected) + 2):
+            plan = retrieve_similar(pool, selected, tests, m)
+            for t in range(tests.n):
+                expected = brute_force_top_m(pool, selected, tests.vectors[t], m)
+                assert plan.per_test[tests.ids[t]] == expected[::-1], (m, t)
+        assert plan.per_test["syn-0"][-3:] == ["syn-9", "syn-5", "syn-2"]
 
     def test_empty_selection(self):
         pool = generate_synthetic(5, 3, 1, 0.2, seed=0)

@@ -162,7 +162,7 @@ class TestRandomSelect:
             assert len(a & b) <= 20
 
     def test_budget_exceeds(self):
-        with pytest.raises(InvalidParameter, match=r"budget 6 outside \[0, 5\]"):
+        with pytest.raises(InvalidParameter, match=r"budget 6 outside \[1, 5\]"):
             random_select(5, 6, seed=0)
 
 
