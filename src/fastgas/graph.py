@@ -53,15 +53,8 @@ class SimilarityGraph:
         return len(self.neighbors) // 2
 
     @property
-    def total_edge_weight(self) -> int:
-        return int(self.edge_weights.sum()) // 2
-
-    @property
     def total_vertex_weight(self) -> int:
         return int(self.vertex_weights.sum())
-
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
 
     def neighbors_of(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted neighbor indices of v and the matching edge weights."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -10,7 +9,8 @@ import numpy as np
 
 from .embeddings import EmbeddingMatrix
 from .errors import InternalError, InvalidParameter
-from .graph import SimilarityGraph, induced_subgraph
+# unused here: perfbench/spans.py wraps selection.induced_subgraph by name (ROADMAP item 5)
+from .graph import SimilarityGraph, induced_subgraph  # noqa: F401
 from .partition import Partition, partition_kway
 
 BRUTE_FORCE_MAX_VERTICES = 24
@@ -41,35 +41,29 @@ class SelectionResult:
         }
 
 
-def greedy_select(sub: SimilarityGraph, n: int) -> list[int]:
-    """Pick n vertices of maximum residual degree, deleting each pick's edges."""
-    return greedy_select_trace(sub, n)[0]
-
-
-def greedy_select_trace(sub: SimilarityGraph, n: int) -> tuple[list[int], list[int]]:
-    """greedy_select plus the residual degree of each pick at pick time."""
-    nv = sub.num_vertices
-    if not 0 <= n <= nv:
-        raise InvalidParameter(f"budget {n} exceeds {nv} vertices")
-    deg = np.diff(sub.indptr).astype(np.int64)
-    alive = np.ones(nv, dtype=bool)
-    heap = [(-int(deg[v]), v) for v in range(nv)]
-    heapq.heapify(heap)
+def greedy_select(g: SimilarityGraph, quotas: list[int], labels) -> list[int]:
+    """Pick quotas[p] vertices of each part p (the vertices labelled p) by
+    maximum residual degree inside the part, deleting each pick's same-part
+    edges; ties go to the lowest index. Returns the picks in part order."""
+    labels = np.asarray(labels)
+    src = g.sources()
+    same = labels[src] == labels[g.neighbors]
+    deg = np.bincount(src[same], minlength=g.num_vertices)
     picks: list[int] = []
-    pick_degs: list[int] = []
-    for _ in range(n):
-        while True:
-            d, v = heapq.heappop(heap)
-            if alive[v] and -d == deg[v]:
-                break
-        alive[v] = False
-        picks.append(v)
-        pick_degs.append(-d)
-        for u in sub.neighbors_of(v)[0].tolist():
-            if alive[u]:
-                deg[u] -= 1
-                heapq.heappush(heap, (-int(deg[u]), u))
-    return picks, pick_degs
+    for p, quota in enumerate(quotas):
+        members = np.flatnonzero(labels == p)
+        if not 0 <= quota <= len(members):
+            raise InvalidParameter(f"part {p}: quota {quota} outside [0, {len(members)}]")
+        for _ in range(quota):
+            # members is sorted, so argmax's first maximum is the lowest index;
+            # a pick's degree becomes -1, below every live vertex's
+            v = int(members[np.argmax(deg[members])])
+            deg[v] = -1
+            nbrs = g.neighbors_of(v)[0]
+            nbrs = nbrs[(labels[nbrs] == p) & (deg[nbrs] >= 0)]
+            deg[nbrs] -= 1
+            picks.append(v)
+    return picks
 
 
 def coverage_objective(g: SimilarityGraph, S) -> int:
@@ -146,14 +140,9 @@ def select_per_part(g: SimilarityGraph, part: Partition, M: int, seed: int) -> S
     """Pick each part's quota of the budget M by residual degree inside the
     part; `seed` is the one the partition was made with."""
     quotas = allocate_quotas(part.part_sizes, M)
-    selected: list[int] = []
-    per_part: dict[int, list[int]] = {}
-    for p in range(part.K):
-        members = np.nonzero(part.assignment == p)[0]
-        sub, mapping = induced_subgraph(g, members)
-        picks = [int(mapping[v]) for v in greedy_select(sub, quotas[p])]
-        per_part[p] = picks
-        selected.extend(picks)
+    selected = greedy_select(g, quotas, part.assignment)
+    ends = list(itertools.accumulate(quotas))
+    per_part = {p: selected[end - q:end] for p, (q, end) in enumerate(zip(quotas, ends))}
     return SelectionResult(
         selected=selected,
         method="fastgas",

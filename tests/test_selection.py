@@ -3,16 +3,17 @@ import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
 from fastgas import selection
+from fastgas.bench import _residual_degrees
 from fastgas.embeddings import EmbeddingMatrix, generate_synthetic
 from fastgas.errors import InternalError, InvalidParameter
-from fastgas.graph import build_knn_graph, graph_from_edges
+from fastgas.graph import build_knn_graph, graph_from_edges, induced_subgraph
+from fastgas.partition import Partition
 from fastgas.selection import (
     allocate_quotas,
     brute_force_max_coverage,
     coverage_objective,
     fastgas_select,
     greedy_select,
-    greedy_select_trace,
     lloyd_kmeans,
     pagerank_scores,
     pagerank_select,
@@ -22,12 +23,17 @@ from fastgas.selection import (
 )
 
 
+def greedy_one_part(g, n):
+    """The greedy over the whole graph as a single part."""
+    return greedy_select(g, [n], np.zeros(g.num_vertices, dtype=np.int64))
+
+
 class TestGreedySelect:
     def test_star_picks_center(self):
-        assert greedy_select(star_graph(5), 1) == [0]
+        assert greedy_one_part(star_graph(5), 1) == [0]
 
     def test_path5_residual_recomputation(self):
-        picks = greedy_select(path_graph(5), 2)
+        picks = greedy_one_part(path_graph(5), 2)
         assert picks == [1, 3]
         assert coverage_objective(path_graph(5), picks) == 4
         _, opt = brute_force_max_coverage(path_graph(5), 2)
@@ -35,28 +41,35 @@ class TestGreedySelect:
 
     def test_edgeless_tie_rule(self):
         g = graph_from_edges(5, [])
-        assert greedy_select(g, 3) == [0, 1, 2]
+        assert greedy_one_part(g, 3) == [0, 1, 2]
 
     def test_budget_exceeds(self):
-        with pytest.raises(InvalidParameter, match="budget 4 exceeds 3 vertices"):
-            greedy_select(path_graph(3), 4)
+        with pytest.raises(InvalidParameter, match=r"part 0: quota 4 outside \[0, 3\]"):
+            greedy_one_part(path_graph(3), 4)
+        with pytest.raises(InvalidParameter, match=r"part 1: quota -1 outside \[0, 2\]"):
+            greedy_select(path_graph(4), [1, -1], [0, 0, 1, 1])
 
-    def test_trace_degrees_match_oracle(self, rng):
+    def test_each_pick_is_oracle_argmax(self, rng):
+        # np.argmax takes the lowest index among the maxima: the tie rule
         for _ in range(30):
             g = random_graph(int(rng.integers(4, 15)), 0.4, rng)
-            n = int(rng.integers(1, g.num_vertices + 1))
-            picks, degs = greedy_select_trace(g, n)
             removed = set()
-            for pick, rec in zip(picks, degs):
-                residual = {
-                    v: sum(1 for u in g.neighbors_of(v)[0].tolist() if u not in removed)
-                    for v in range(g.num_vertices)
-                    if v not in removed
-                }
-                assert rec == residual[pick] == max(residual.values())
-                # tie rule: no lower-index vertex has the same residual degree
-                assert all(residual[v] < rec for v in residual if v < pick)
+            for pick in greedy_one_part(g, int(rng.integers(1, g.num_vertices + 1))):
+                assert pick == int(np.argmax(_residual_degrees(g, removed)))
                 removed.add(pick)
+
+    def test_per_part_matches_greedy_on_induced_subgraph(self, rng):
+        # random labels, so many edges cross parts and must not count
+        for _ in range(40):
+            n = int(rng.integers(4, 30))
+            g = random_graph(n, float(rng.choice([0.2, 0.5])), rng)
+            K = int(rng.integers(1, min(n, 5) + 1))
+            part = Partition(assignment=rng.permutation(np.arange(n) % K), K=K)
+            res = selection.select_per_part(g, part, int(rng.integers(1, n + 1)), seed=0)
+            for p, picks in res.per_part.items():
+                sub, mapping = induced_subgraph(g, np.flatnonzero(part.assignment == p))
+                assert picks == [int(mapping[v]) for v in greedy_one_part(sub, len(picks))]
+            assert res.selected == [v for p in range(K) for v in res.per_part[p]]
 
 
 class TestCoverageObjective:
@@ -126,7 +139,14 @@ class TestFastgasSelect:
 
     def test_k1_equals_plain_greedy(self, pool_graph):
         res = fastgas_select(pool_graph, 1, 20, seed=5)
-        assert res.selected == greedy_select(pool_graph, 20)
+        assert res.selected == greedy_one_part(pool_graph, 20)
+
+    def test_builds_no_subgraph(self, pool_graph, monkeypatch):
+        def no_subgraph(*args):
+            raise AssertionError("select_per_part built an induced subgraph")
+
+        monkeypatch.setattr(selection, "induced_subgraph", no_subgraph)
+        assert len(fastgas_select(pool_graph, 6, 18, seed=0).selected) == 18
 
     def test_per_part_disjoint_union(self, pool_graph):
         res = fastgas_select(pool_graph, 6, 30, seed=1)
@@ -177,7 +197,7 @@ class TestTopDegree:
     def test_path5_static_vs_residual(self):
         # static degrees on P5 are 1,2,2,2,1: top-2 = [1,2]; greedy gives [1,3]
         assert top_degree_select(path_graph(5), 2).selected == [1, 2]
-        assert greedy_select(path_graph(5), 2) == [1, 3]
+        assert greedy_one_part(path_graph(5), 2) == [1, 3]
 
 
 class TestPagerank:
@@ -262,6 +282,6 @@ class TestSubmodularBound:
             g = random_graph(n, p, rng)
             budget = int(rng.integers(1, 5))
             budget = min(budget, n)
-            val = coverage_objective(g, greedy_select(g, budget))
+            val = coverage_objective(g, greedy_one_part(g, budget))
             _, opt = brute_force_max_coverage(g, budget)
             assert val >= bound * opt - 1e-9
