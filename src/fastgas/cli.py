@@ -112,14 +112,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return p, sub.choices
 
 
-def _layer_defaults(sp: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Replace the defaults of `sp` with the preset's values for its flags,
-    so that parsing the command line again lets a flag override them."""
-    if getattr(args, "preset", None):
-        dests = {a.dest for a in sp._actions}
-        sp.set_defaults(**{k: v for k, v in PRESETS[args.preset].items() if k in dests})
-
-
 def _json_pieces(obj):
     """`json.dumps(obj, indent=2)` byte for byte, as consecutive strings; a
     2-D integer array (graph edges) is written as the list of its rows.
@@ -220,6 +212,9 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_select(args) -> int:
+    if "K" in args.given and args.method not in ("fastgas", "subcluster"):
+        raise InvalidParameter(f"K {args.K} needs method fastgas or subcluster; method {args.method} "
+                               "picks from the whole pool, in no parts")
     if args.method == "subcluster":
         emb = load_embeddings(args.input, args.format or "jsonl")
         ids, n = emb.ids, len(emb.ids)
@@ -277,12 +272,21 @@ def _cmd_verify(args) -> int:
 
 def settle_args(argv: list[str] | None = None) -> argparse.Namespace:
     """Every setting of `argv`'s subcommand, from its flags, preset and
-    defaults in that order. An argv that does not parse exits 2; a
-    `--threads` below 1 raises InvalidParameter."""
+    defaults in that order, with `given`, the settings that its flags set.
+    An argv that does not parse exits 2; a `--threads` below 1 raises
+    InvalidParameter."""
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    _layer_defaults(commands[args.command], args)
-    args = parser.parse_args(argv)
+    sp = commands[args.command]
+    # parsed again over defaults that no flag yields, to tell a flag's value
+    # from a default
+    unset = object()
+    sp.set_defaults(**{action.dest: unset for action in sp._actions})
+    again = parser.parse_args(argv)
+    args.given = {action.dest for action in sp._actions if getattr(again, action.dest) is not unset}
+    preset = PRESETS.get(getattr(args, "preset", None), {})
+    for key in preset.keys() & vars(args).keys() - args.given:
+        setattr(args, key, preset[key])
     if getattr(args, "threads", 1) < 1:
         raise InvalidParameter(f"--threads must be at least 1, got {args.threads}")
     return args
@@ -298,6 +302,9 @@ def main(argv: list[str] | None = None) -> int:
     except FastgasError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -211,6 +211,8 @@ def _load_binary(path: str) -> EmbeddingMatrix:
         except UnicodeDecodeError as e:
             raise FormatError(f"{path}: id of record {i} is not valid UTF-8") from e
         off += ln
+    if off != len(data):
+        raise FormatError(f"{path}: {len(data) - off} bytes after the last id, at offset {off}")
     return EmbeddingMatrix(ids=ids, vectors=vecs)  # a read-only view of `data`
 
 

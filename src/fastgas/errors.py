@@ -2,9 +2,8 @@
 with the class's code.
 
 1, FormatError: a malformed input, such as an embedding, graph or selection
-   file that breaks its format, a zero vector, pool and test vectors of
-   different dimensions, or a vertex weight other than 1 given to the
-   K-way partitioner.
+   file that breaks its format, a zero vector, or pool and test vectors of
+   different dimensions.
 2, InvalidParameter: a setting or argument out of range, such as k, K, a
    budget, m or a vertex index, or a selection with no instances.
 3, InternalError: the program broke one of its own invariants.

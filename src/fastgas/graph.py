@@ -31,6 +31,9 @@ _RERANK_CHUNK = 1 << 18
 # to γ_d·radius² but adds float64 terms to every similarity: at radius 0.45
 # (the jsonl workload) they cost more than the smaller re-rank saves.
 _CENTRED_RADIUS = 0.25
+# The most vertices a graph file may name, so that an edge's int64 key
+# u·n + v stays exact.
+_MAX_VERTICES = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -546,48 +549,37 @@ def graph_to_dict(g: SimilarityGraph, k: int, ids: list[str]) -> dict:
         "num_vertices": g.num_vertices,
         "k": k,
         "edges": g.edge_list(),
-        "vertex_weights": g.vertex_weights.tolist(),
         "ids": ids,
     }
 
 
 def graph_from_dict(d: dict) -> SimilarityGraph:
-    """The graph of a graph JSON document; anything malformed raises FormatError.
+    """The unit-vertex-weight graph of a graph JSON document; anything
+    malformed raises FormatError.
 
-    `num_vertices` is at least 1, `edges` is a list of [u, v, weight]
-    triples, `vertex_weights`, if given, a list of num_vertices numbers and
-    `ids`, if given, a list of num_vertices strings; other keys, such as
-    build-graph's `k`, are not read.
+    `num_vertices` is from 1 to `_MAX_VERTICES`, `edges` is a list of
+    [u, v, weight] triples and `ids`, if given, a list of num_vertices
+    strings; other keys, such as build-graph's `k`, are not read.
     Every number must be a JSON integer: a float, a numeric string, true or
-    false is named and rejected, as is a negative weight."""
+    false is named and rejected."""
     if type(d) is not dict:
         raise FormatError("bad graph JSON: expected a JSON object")
     try:
         n = d["num_vertices"]
         edges = np.asarray(d["edges"])
-        vertex_weights = d.get("vertex_weights")
-        if vertex_weights is not None:
-            vertex_weights = np.asarray(vertex_weights)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad graph JSON: {e}") from e
     if type(n) is not int:
         raise FormatError(f"bad graph JSON: num_vertices {json.dumps(n)} is not an integer")
     if n < 1:
         raise FormatError(f"bad graph JSON: num_vertices {n}: a graph needs at least one vertex")
+    if n > _MAX_VERTICES:
+        raise FormatError(f"bad graph JSON: num_vertices {n}: above {_MAX_VERTICES}, the most a graph holds")
     if edges.shape == (0,):
         edges = edges.reshape(0, 3)
     if edges.ndim != 2 or edges.shape[1] != 3:
         raise FormatError("bad graph JSON: edges must be a list of [u, v, weight] triples")
-    edges = _integers(edges, d["edges"], chain.from_iterable(d["edges"]), "edge")
-    if vertex_weights is not None:
-        if vertex_weights.shape != (n,):
-            raise FormatError(f"bad graph JSON: vertex_weights must be a list of {n} integers")
-        vertex_weights = _integers(vertex_weights, d["vertex_weights"], d["vertex_weights"],
-                                   "vertex weight")
-        negative = np.flatnonzero(vertex_weights < 0)
-        if negative.size:
-            j = negative[0]
-            raise FormatError(f"bad graph JSON: vertex weight {j} {vertex_weights[j]}: negative")
+    edges = _integer_edges(edges, d["edges"])
     ids = d.get("ids")
     if ids is not None:
         if type(ids) is not list or len(ids) != n:
@@ -596,24 +588,22 @@ def graph_from_dict(d: dict) -> SimilarityGraph:
             if type(ident) is not str:
                 raise FormatError(f"bad graph JSON: id {j} {json.dumps(ident)}: not a string")
     _check_edges(edges, n)
-    return graph_from_edges(n, edges, vertex_weights=vertex_weights)
+    return graph_from_edges(n, edges)
 
 
-def _integers(arr: np.ndarray, entries: list, numbers, what: str) -> np.ndarray:
-    """`arr`, numpy's reading of the JSON array `entries`, as int64 if all
-    `numbers`, the numbers in `entries`, are integers; otherwise a
-    FormatError names the first entry that holds anything else."""
+def _integer_edges(edges: np.ndarray, triples: list) -> np.ndarray:
+    """`edges`, numpy's reading of the JSON list `triples`, as int64 if every
+    number in them is an integer; otherwise a FormatError names the first
+    triple that holds anything else."""
     # numpy reads [1, True] as int64, so a bool needs a scan of its own
-    if arr.dtype == np.int64 and bool not in set(map(type, numbers)):
-        return arr
-    if arr.size == 0:
-        return arr.astype(np.int64)
-    for j, entry in enumerate(entries):
-        values = entry if isinstance(entry, list) else [entry]
-        if any(type(v) is not int for v in values):
-            kind = "not all integers" if isinstance(entry, list) else "not an integer"
-            raise FormatError(f"bad graph JSON: {what} {j} {json.dumps(entry)}: {kind}")
-    raise FormatError(f"bad graph JSON: {what}s hold an integer outside the int64 range")
+    if edges.dtype == np.int64 and bool not in set(map(type, chain.from_iterable(triples))):
+        return edges
+    if edges.size == 0:
+        return edges.astype(np.int64)
+    for j, triple in enumerate(triples):
+        if any(type(v) is not int for v in triple):
+            raise FormatError(f"bad graph JSON: edge {j} {json.dumps(triple)}: not all integers")
+    raise FormatError("bad graph JSON: edges hold an integer outside the int64 range")
 
 
 def _check_edges(edges: np.ndarray, n: int) -> None:

@@ -18,6 +18,9 @@ PAGERANK_DAMPING = 0.85
 PAGERANK_TOL = 1e-10
 PAGERANK_MAX_ITERS = 200
 KMEANS_MAX_ITERS = 100
+# Rows per chunk of k-means' squared distances to one point, so that no
+# temporary is as large as the pool.
+KMEANS_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -216,13 +219,13 @@ def lloyd_kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.nd
     """
     n = len(x)
     centers = [int(rng.integers(n))]
-    d2 = np.sum((x - x[centers[0]]) ** 2, axis=1)
+    d2 = _squared_distances(x, x[centers[0]])
     for _ in range(k - 1):
         c = int(np.argmax(d2))  # argmax takes the lowest index on ties
         centers.append(c)
-        d2 = np.minimum(d2, np.sum((x - x[c]) ** 2, axis=1))
+        np.minimum(d2, _squared_distances(x, x[c]), out=d2)
     centroids = x[centers].astype(np.float64)
-    x2 = (x**2).sum(axis=1)
+    x2 = _squared_distances(x, 0.0)
     labels = None
     for _ in range(KMEANS_MAX_ITERS):
         dists = x2[:, None] + (centroids**2).sum(axis=1)[None, :] - 2.0 * (x @ centroids.T)
@@ -241,6 +244,15 @@ def lloyd_kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.nd
         for c in range(k):
             centroids[c] = x[labels == c].mean(axis=0)
     return labels, centroids
+
+
+def _squared_distances(x: np.ndarray, c) -> np.ndarray:
+    """np.sum((x - c) ** 2, axis=1) bit for bit, `KMEANS_CHUNK_ROWS` rows at a time."""
+    d2 = np.empty(len(x))
+    for i in range(0, len(x), KMEANS_CHUNK_ROWS):
+        rows = x[i:i + KMEANS_CHUNK_ROWS]
+        d2[i:i + len(rows)] = np.sum((rows - c) ** 2, axis=1)
+    return d2
 
 
 def subcluster_select(E: EmbeddingMatrix, K: int, M: int, seed: int) -> SelectionResult:

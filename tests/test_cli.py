@@ -20,6 +20,8 @@ from fastgas import cli
 from fastgas.cli import _write_json, main
 from fastgas.embeddings import EmbeddingMatrix, generate_synthetic, save_embeddings
 from fastgas.errors import FastgasError, FormatError, InternalError, InvalidParameter
+from fastgas.graph import graph_from_edges
+from fastgas.partition import partition_kway
 
 
 @pytest.fixture
@@ -185,7 +187,7 @@ def test_verify_zero_instances_checks_the_fixture(tmp_path):
 
 def test_out_of_range_graph_edge_exits_1(tmp_path, capsys):
     g = tmp_path / "g.json"
-    g.write_text(json.dumps({"num_vertices": 3, "k": 1, "edges": [[0, 7, 1]], "vertex_weights": [1, 1, 1]}))
+    g.write_text(json.dumps({"num_vertices": 3, "k": 1, "edges": [[0, 7, 1]]}))
     assert main(["select", "--budget", "1", "--K", "1", "--input", str(g), "-o", str(tmp_path / "s.json")]) == 1
     assert "edge 0 [0, 7, 1]" in capsys.readouterr().err
 
@@ -193,7 +195,7 @@ def test_out_of_range_graph_edge_exits_1(tmp_path, capsys):
 def test_non_string_graph_id_exits_1(tmp_path, capsys):
     g = tmp_path / "g.json"
     g.write_text(json.dumps({"num_vertices": 3, "k": 1, "edges": [[0, 1, 1], [1, 2, 1]],
-                             "vertex_weights": [1, 1, 1], "ids": ["a", "b", None]}))
+                             "ids": ["a", "b", None]}))
     assert main(["select", "--method", "random", "--budget", "1", "--input", str(g),
                  "-o", str(tmp_path / "s.json")]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: bad graph JSON: id 2 null: not a string"]
@@ -201,21 +203,55 @@ def test_non_string_graph_id_exits_1(tmp_path, capsys):
 
 def test_non_integer_graph_numbers_exit_1(tmp_path, capsys):
     g = tmp_path / "g.json"
-    g.write_text(json.dumps({"num_vertices": 3, "edges": [[0, "2", 1.9], [1.7, 2, 1]],
-                             "vertex_weights": [1, True, 1.5]}))
+    g.write_text(json.dumps({"num_vertices": 3, "edges": [[0, "2", 1.9], [1.7, 2, 1]]}))
     assert main(["partition", "--K", "2", "--input", str(g), "-o", str(tmp_path / "p.json")]) == 1
     assert 'edge 0 [0, "2", 1.9]: not all integers' in capsys.readouterr().err
 
 
-def test_weighted_graph_cannot_be_partitioned(tmp_path, capsys):
+def test_weighted_graph_cannot_be_partitioned(tmp_path):
+    """A graph file has unit vertex weights: a `vertex_weights` key that an
+    older build-graph wrote, or any other, is not read, so every command
+    gives the same bytes with it as without it. Only a library caller can
+    hand the partitioner a weighted graph, which it refuses."""
+    doc = {"num_vertices": 4, "k": 1, "edges": [[0, 1, 1], [2, 3, 1]]}
+    outputs = []
+    for weights in (None, [1, 3, 1, 1], [1, True, "x", -1]):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(doc if weights is None else {**doc, "vertex_weights": weights}))
+        for i, argv in enumerate((["partition", "--K", "2"],
+                                  ["select", "--method", "fastgas", "--K", "2", "--budget", "2"],
+                                  ["select", "--method", "top-degree", "--budget", "2"])):
+            out = tmp_path / f"o{i}.json"
+            assert main([*argv, "--input", str(g), "--no-timings", "-o", str(out)]) == 0
+            outputs.append(out.read_bytes())
+    assert outputs[:3] == outputs[3:6] == outputs[6:]
+    weighted = graph_from_edges(4, [(0, 1, 1), (2, 3, 1)], vertex_weights=[1, 3, 1, 1])
+    with pytest.raises(FormatError, match="every vertex weight to be 1"):
+        partition_kway(weighted, 2, 0)
+
+
+@pytest.mark.parametrize("n, method", [(10**12, "random"), (10**20, "top-degree")])
+def test_huge_graph_vertex_count_exits_1(tmp_path, capsys, n, method):
+    """num_vertices beyond 2**31 - 1 exits 1 naming the count, before
+    anything of that size is allocated."""
     g = tmp_path / "g.json"
-    g.write_text(json.dumps({"num_vertices": 4, "k": 1, "edges": [[0, 1, 1], [2, 3, 1]],
-                             "vertex_weights": [1, 3, 1, 1]}))
-    for argv in (["partition"], ["select", "--method", "fastgas", "--budget", "2"]):
-        assert main([*argv, "--K", "2", "--input", str(g), "-o", str(tmp_path / "o.json")]) == 1
-        assert "vertex weight" in capsys.readouterr().err
-    assert main(["select", "--method", "top-degree", "--budget", "2", "--input", str(g),
-                 "-o", str(tmp_path / "o.json")]) == 0
+    g.write_text(json.dumps({"num_vertices": n, "edges": []}))
+    out = tmp_path / "s.json"
+    assert main(["select", "--method", method, "--budget", "1", "--input", str(g), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: bad graph JSON: num_vertices {n}: above 2147483647, the most a graph holds"]
+    assert not out.exists()
+
+
+def test_allocation_failure_exits_1(built, monkeypatch, capsys):
+    tmp, _, _ = built
+
+    def fail(path):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "load_graph", fail)
+    assert main(["select", "--method", "random", "--input", str(tmp / "g.json"), "-o", str(tmp / "o.json")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory: Unable to allocate 7.28 TiB"]
 
 
 def test_empty_graph_exits_1(tmp_path, capsys):
@@ -273,6 +309,9 @@ def test_bench_subcommand(tmp_path):
                  "--d", "8", "--seed", "0", "-o", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert [r["n"] for r in rep["rows"]] == [200, 400]
+    # select times fastgas_select, the call of `select --method fastgas`
+    assert set(rep["rows"][0]) == {"n", "num_edges", "knn", "select", "fastgas_total", "random_ms",
+                                   "top_degree_ms", "pagerank_ms", "subcluster_ms"}
     assert len(rep["per_doubling_ratios"]) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json"]
 
@@ -427,7 +466,10 @@ def test_every_flag_is_read():
     """Every flag of every subcommand is read as `args.<dest>` in its
     `_cmd_*` or in the `_write_output` that it calls, and `--preset` sets at
     least one of its flags, but for the `_UNREAD_FLAGS`. A flag that only
-    some of a command's paths read (select's --K and --seed) passes."""
+    some of a command's paths read passes here: select's --K, which the
+    methods without parts reject when it is given (see
+    `test_k_without_parts_exits_2`), and its --seed, which top-degree and
+    pagerank ignore (ROADMAP item 6)."""
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
@@ -524,6 +566,23 @@ def test_subcluster_budget_below_k_exits_2(built, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["random", "top-degree", "pagerank"])
+def test_k_without_parts_exits_2(built, capsys, method):
+    """A method that makes no parts refuses an explicit --K, naming both
+    settings; a preset's K, which every select argv of the benchmark
+    carries, passes."""
+    tmp, _, _ = built
+    out = tmp / "o.json"
+    argv = ["select", "--input", str(tmp / "g.json"), "--method", method, "--budget", "4", "-o", str(out)]
+    for k, value in ((["--K", "7"], 7), (["--K=2", "--preset", "paper-100"], 2)):
+        assert main([*argv, *k]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: K {value} needs method fastgas or subcluster; method {method} picks from the whole "
+            "pool, in no parts"]
+        assert not out.exists()
+    assert main([*argv, "--preset", "paper-18"]) == 0
+
+
 def test_preset_and_flags_both_apply(built):
     """Presets carry no seed, so the seed keeps its default under a preset."""
     tmp, _, _ = built
@@ -610,8 +669,8 @@ def test_selection_from_another_pools_graph_exits_1(built, capsys, method):
     assert main(["build-graph", "--input", str(tmp / "other.jsonl"), "--k", "5",
                  "-o", str(tmp / "other-g.json")]) == 0
     sel = tmp / "other-s.json"
-    assert main(["select", "--input", str(tmp / "other-g.json"), "--method", method, "--K", "4",
-                 "--budget", "6", "-o", str(sel)]) == 0
+    assert main(["select", "--input", str(tmp / "other-g.json"), "--method", method, "--budget", "6",
+                 "-o", str(sel)]) == 0
     first = json.loads(sel.read_text())["selected"][0]
     out = tmp / "r.json"
     capsys.readouterr()
@@ -782,9 +841,11 @@ _tokens = _values | st.sampled_from([b",", b"]", b"\xff", b"\x00", b"\n", b""])
 @st.composite
 def _mutations(draw, data: bytes):
     """`data` after a few edits: a number replaced by another JSON value, a
-    byte or a span replaced, a span deleted or repeated, or the end cut off."""
+    byte or a span replaced, a span deleted or repeated, the end cut off, or
+    a token appended."""
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["number"] * 5 + ["byte", "span", "delete", "repeat", "truncate"]))
+        kind = draw(st.sampled_from(["number"] * 5 + ["byte", "span", "delete", "repeat", "truncate",
+                                                      "append"]))
         numbers = list(_numbers_re.finditer(data))
         if kind == "number" and numbers:
             m = numbers[draw(st.integers(0, len(numbers) - 1))]
@@ -800,8 +861,10 @@ def _mutations(draw, data: bytes):
             data = data[:a] + data[b:]
         elif kind == "repeat":
             data = data[:b] + data[a:b] + data[b:]
-        else:
+        elif kind == "truncate":
             data = data[:a]
+        else:
+            data += draw(_tokens)
     return data
 
 
@@ -812,8 +875,8 @@ _fuzz_argvs = {
     "jsonl": ("--input", [["build-graph", "--k", "3"],
                           ["select", "--method", "subcluster", "--K", "3", "--budget", "4"]]),
     "binary": ("--input", [["build-graph", "--k", "3", "--format", "binary"]]),
-    "graph": ("--input", [["select", "--method", method, "--K", "3", "--budget", "4"]
-                          for method in ("fastgas", "random", "top-degree", "pagerank")]
+    "graph": ("--input", [["select", "--method", "fastgas", "--K", "3", "--budget", "4"]]
+              + [["select", "--method", method, "--budget", "4"] for method in ("random", "top-degree", "pagerank")]
               + [["partition", "--K", "3"]]),
     "selection": ("--selection", [[*_retrieve, "--tests", "{tmp}/tests.jsonl", "--mode", mode]
                                   for mode in ("similar", "random")]),

@@ -363,6 +363,14 @@ class TestRoundTrip:
         # float32 matrix, which a copy of the rows or float32 norms would take
         assert peak < p.stat().st_size + n * d * 4
 
+    def test_binary_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "m.bin"
+        save_embeddings(generate_synthetic(50, 4, 5, 0.5, seed=1), str(p), "binary")
+        size = p.stat().st_size
+        p.write_bytes(p.read_bytes() + b"garbage")
+        with pytest.raises(FormatError, match=f"7 bytes after the last id, at offset {size}"):
+            load_embeddings(str(p), "binary")
+
     def test_binary_header_checked(self, tmp_path):
         p = tmp_path / "m.bin"
         p.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -688,6 +688,7 @@ class TestSerialization:
         emb = generate_synthetic(40, 6, 3, 0.3, seed=2)
         g = build_knn_graph(emb, 4)
         _write_json(str(tmp_path / "g.json"), graph_to_dict(g, 4, emb.ids))
+        assert list(json.loads((tmp_path / "g.json").read_text())) == ["num_vertices", "k", "edges", "ids"]
         back, ids = load_graph(str(tmp_path / "g.json"))
         assert np.array_equal(back.edge_list(), g.edge_list())
         assert np.array_equal(back.vertex_weights, g.vertex_weights)
@@ -702,8 +703,11 @@ class TestSerialization:
         ([[0, 1, 1], [1, 2, -1]], None, "edge 1 [1, 2, -1]: negative weight"),
         # the first bad edge is named, whatever is wrong with it
         ([[0, 1, 1], [1, 1, 1], [0, 9, 1]], None, "edge 1 [1, 1, 1]: self-loop"),
-        ([[0, 1, 1]], [1, 1], "vertex_weights must be a list of 3 integers"),
-        ([[0, 1, 1]], [[1], [1], [1]], "vertex_weights must be a list of 3 integers"),
+        # a dict in place of vertex_weights holds other keys: num_vertices past
+        # 2**31 - 1, where an edge's key u·n + v could overflow, is named
+        # before anything of its size is allocated
+        ([[0, 1, 1]], {"num_vertices": 10**12}, "num_vertices 1000000000000: above 2147483647"),
+        ([], {"num_vertices": 10**20}, "num_vertices 100000000000000000000: above 2147483647"),
         ([[0, 1]], None, "bad graph JSON"),
         ([[0, 1, 2**70]], None, "bad graph JSON"),
         # every number is a JSON integer: no float, numeric string or bool
@@ -712,9 +716,10 @@ class TestSerialization:
         ([[0, 1, 1.0]], None, "edge 0 [0, 1, 1.0]: not all integers"),
         ([[0, 1, 1], [1, 2, True]], None, "edge 1 [1, 2, true]: not all integers"),
         ([[True, 2, 1]], None, "edge 0 [true, 2, 1]: not all integers"),
-        ([[0, 1, 1]], [1, True, 1], "vertex weight 1 true: not an integer"),
-        ([[0, 1, 1]], [1, 1, 1.5], "vertex weight 2 1.5: not an integer"),
-        ([[0, 1, 1]], [False, False, False], "vertex weight 0 false: not an integer"),
+        # vertex_weights, which build-graph once wrote, is not read, whatever it holds
+        ([[0, 1, 1], [1, 1, 1]], [1, True, 1.5], "edge 1 [1, 1, 1]: self-loop"),
+        ([[0, 1, 1], [0, 1, 1]], [False, False, False], "edge 1 [0, 1, 1]: duplicate edge"),
+        ([[0, 1, 1], [1, 2, -1]], [1, 1, -1], "edge 1 [1, 2, -1]: negative weight"),
         ([[0, 1, 2**63]], None, "edges hold an integer outside the int64 range"),
         # edges are [u, v, weight] triples: not pairs, flat or nested deeper
         ([[0, 1]], None, "edges must be a list of [u, v, weight] triples"),
@@ -722,7 +727,8 @@ class TestSerialization:
         ([0, 1, 1], None, "edges must be a list of [u, v, weight] triples"),
         ([[[0, 1, 1]]], None, "edges must be a list of [u, v, weight] triples"),
         ([[[0, 1, True]]], None, "edges must be a list of [u, v, weight] triples"),
-        ([[0, 1, 1]], [1, 1, -1], "vertex weight 2 -1: negative"),
+        # a count below 1 is named, however large its magnitude
+        ([[0, 1, 1]], {"num_vertices": -10**20}, "num_vertices -100000000000000000000: a graph needs"),
         # edges None: the document is a JSON array, not an object
         (None, None, "bad graph JSON: expected a JSON object"),
         # a dict in place of vertex_weights holds other keys: the graph's ids

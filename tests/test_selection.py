@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,22 @@ class TestSubcluster:
         emb = EmbeddingMatrix(ids=[f"d{i}" for i in range(6)], vectors=x)
         res = subcluster_select(emb, 1, 4, seed=0)
         assert len(set(res.selected)) == 4
+
+    def test_kmeans_takes_distances_in_row_chunks(self):
+        """k-means' squared distances to one point, in its farthest-point
+        seeding and its row norms, are the whole-pool sum bit for bit but
+        taken a chunk of rows at a time, so no temporary is pool-sized."""
+        # eight separated clusters, so no cluster's copy in the Lloyd steps is pool-sized
+        x = 10 * np.eye(128)[np.arange(4096) % 8] + np.random.default_rng(4).normal(size=(4096, 128))
+        for c in (x[7], 0.0):
+            assert selection._squared_distances(x, c).tobytes() == np.sum((x - c) ** 2, axis=1).tobytes()
+        tracemalloc.start()
+        try:
+            lloyd_kmeans(x, 8, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 2
 
     def test_deterministic(self):
         emb = generate_synthetic(80, 6, 4, 0.2, seed=9)
