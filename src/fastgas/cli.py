@@ -1,4 +1,4 @@
-"""Command-line pipeline: build-graph, partition, select, retrieve, bench, verify.
+"""Command-line pipeline: build-graph, partition, select, retrieve, verify.
 
 Each subcommand's parser is its settings schema; `settle_args` settles every
 setting once, before dispatch. A setting comes from its flag, else from
@@ -40,10 +40,6 @@ PRESETS = {
 }
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s.strip()]
-
-
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     p = argparse.ArgumentParser(prog="fastgas", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -58,9 +54,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         if "threads" not in unread:
             sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--output", "-o")
-        if "no-timings" not in unread:
-            sp.add_argument("--no-timings", action="store_true",
-                            help="omit wall-clock timings from output files")
+        sp.add_argument("--no-timings", action="store_true",
+                        help="omit wall-clock timings from output files")
         return sp
 
     sp = command("build-graph", _cmd_build_graph, "build the kNN similarity graph from embeddings")
@@ -91,17 +86,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--mode", choices=["similar", "random"], default="similar")
     sp.add_argument("--m", type=int, default=5,
                     help="examples per prompt; similar mode puts the most similar last")
-
-    # bench's whole report is timings
-    sp = command("bench", _cmd_bench, "time the pipeline and baselines on synthetic pools",
-                 unread=("no-timings",))
-    sp.add_argument("--sizes", type=_int_list, default="1000,2000,4000,8000",
-                    help="comma-separated pool sizes")
-    sp.add_argument("--d", type=int, default=64)
-    sp.add_argument("--k", type=int, default=10)
-    sp.add_argument("--K", type=int, default=2)
-    sp.add_argument("--budget", type=int, default=18)
-    sp.add_argument("--repeats", type=int, default=1)
 
     sp = command("verify", _cmd_verify, "audit greedy selection against the exhaustive oracle",
                  unread=("preset", "threads"))
@@ -157,7 +141,7 @@ def _load_selection(path: str, ids: list[str]) -> list[int]:
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise FormatError(f"{path}: not a selection JSON: {e}") from None
     n = len(ids)
     selected = doc.get("selected") if type(doc) is dict else None
@@ -248,18 +232,10 @@ def _cmd_retrieve(args) -> int:
     return 0
 
 
-# bench and verify import their modules when run, so the pipeline's stages
-# do not load them at start-up
-def _cmd_bench(args) -> int:
-    from .bench import run_bench
-
-    _write_json(args.output, run_bench(args.sizes, d=args.d, k=args.k, K=args.K, M=args.budget,
-                                       seed=args.seed, repeats=args.repeats, threads=args.threads))
-    return 0
-
-
+# verify imports its module when run, so the pipeline's stages do not load
+# it at start-up
 def _cmd_verify(args) -> int:
-    from .bench import run_verify
+    from .verify import run_verify
 
     report, ms = _timed(lambda: run_verify(max_n=args.max_n, max_budget=args.max_budget,
                                            instances=args.instances, seed=args.seed))

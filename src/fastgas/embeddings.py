@@ -192,6 +192,8 @@ def _load_binary(path: str) -> EmbeddingMatrix:
         raise FormatError(f"{path}: truncated header") from e
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    if n < 1 or dim < 1:
+        raise FormatError(f"{path}: header gives N={n} d={dim}; a pool needs N >= 1 and d >= 1")
     off = 4 + 16
     need = n * dim * 4
     if len(data) < off + need:

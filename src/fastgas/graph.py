@@ -554,7 +554,7 @@ def graph_to_dict(g: SimilarityGraph, k: int, ids: list[str]) -> dict:
 
 
 def graph_from_dict(d: dict) -> SimilarityGraph:
-    """The unit-vertex-weight graph of a graph JSON document; anything
+    """The unit-weight graph of a graph JSON document; anything
     malformed raises FormatError.
 
     `num_vertices` is from 1 to `_MAX_VERTICES`, `edges` is a list of
@@ -608,7 +608,10 @@ def _integer_edges(edges: np.ndarray, triples: list) -> np.ndarray:
 
 def _check_edges(edges: np.ndarray, n: int) -> None:
     """Raise FormatError naming the first edge that is out of range, a
-    self-loop, negatively weighted, or a repeat of an earlier edge."""
+    self-loop, a repeat of an earlier edge, or weighted other than 1.
+    The greedy and top-degree selectors count neighbours where the partitioner
+    and PageRank weigh edges, so an edge of a graph file weighs 1, as
+    build-graph writes it, and every method reads the same graph."""
     u, v, w = edges.T
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     key = lo * n + hi
@@ -618,8 +621,8 @@ def _check_edges(edges: np.ndarray, n: int) -> None:
     problems = (
         ((lo < 0) | (hi >= n), f"endpoint outside [0, {n})"),
         (u == v, "self-loop"),
-        (w < 0, "negative weight"),
         (repeat, "duplicate edge"),
+        (w != 1, "weight other than 1"),
     )
     bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in problems]))
     if bad.size:

@@ -1,91 +1,15 @@
-"""Benchmark and verification harnesses behind the `bench` and `verify` subcommands."""
+"""The verification harness behind the `verify` subcommand."""
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from .embeddings import generate_synthetic
 from .errors import InternalError, InvalidParameter
-from .graph import build_knn_graph, graph_from_edges
-from .selection import (
-    brute_force_max_coverage,
-    coverage_objective,
-    fastgas_select,
-    greedy_select,
-    pagerank_select,
-    random_select,
-    subcluster_select,
-    top_degree_select,
-)
+from .graph import graph_from_edges
+from .selection import brute_force_max_coverage, coverage_objective, greedy_select
 
 GREEDY_GUARANTEE = 1.0 - 1.0 / np.e
-BENCH_CLUSTERS = 10
-BENCH_SPREAD = 0.1
 VERIFY_EDGE_PROBS = (0.2, 0.5, 0.8)
-
-
-def run_bench(
-    sizes: list[int],
-    d: int = 64,
-    k: int = 10,
-    K: int = 10,
-    M: int = 100,
-    seed: int = 0,
-    repeats: int = 1,
-    threads: int = 1,
-) -> dict:
-    """Time the full pipeline and each baseline on synthetic pools of the
-    given sizes; per-stage wall-clock in ms, best of `repeats` runs. The
-    pipeline is the kNN graph and `fastgas_select`, the calls that
-    `build-graph` and `select --method fastgas` make."""
-    if repeats < 1 or not sizes or M < 1:
-        raise InvalidParameter("need at least one size, one repeat and a budget of at least 1")
-    small = [n for n in sizes if n < 2]
-    if small:
-        raise InvalidParameter(f"pool size {small[0]} is below 2, the smallest pool with a kNN graph")
-    rows = []
-    for n in sizes:
-        emb = generate_synthetic(n, d, min(BENCH_CLUSTERS, n), BENCH_SPREAD, seed)
-        best: dict[str, float] | None = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            g = build_knn_graph(emb, min(k, n - 1), threads=threads)
-            t1 = time.perf_counter()
-            fastgas_select(g, min(K, n), min(M, n), seed)
-            t2 = time.perf_counter()
-            stage = {"knn": (t1 - t0) * 1e3, "select": (t2 - t1) * 1e3, "fastgas_total": (t2 - t0) * 1e3}
-            if best is None or stage["fastgas_total"] < best["fastgas_total"]:
-                best = stage
-        baselines = {}
-        for name, fn in (
-            ("random", lambda: random_select(n, min(M, n), seed)),
-            ("top_degree", lambda: top_degree_select(g, min(M, n))),
-            ("pagerank", lambda: pagerank_select(g, min(M, n))),
-            ("subcluster", lambda: subcluster_select(emb, min(K, n), min(M, n), seed)),
-        ):
-            t0 = time.perf_counter()
-            fn()
-            baselines[name] = (time.perf_counter() - t0) * 1e3
-        rows.append(
-            {
-                "n": n,
-                "num_edges": g.num_edges,
-                **{key: round(val, 3) for key, val in best.items()},
-                **{f"{key}_ms": round(val, 3) for key, val in baselines.items()},
-            }
-        )
-    ratios = []
-    for a, b in zip(rows, rows[1:]):
-        if b["n"] == 2 * a["n"] and a["fastgas_total"] > 0:
-            ratios.append(round(b["fastgas_total"] / a["fastgas_total"], 3))
-    return {
-        "config": {"sizes": sizes, "d": d, "k": k, "K": K, "M": M, "seed": seed, "repeats": repeats},
-        "rows": rows,
-        "per_doubling_ratios": ratios,
-        "max_per_doubling_ratio": max(ratios) if ratios else None,
-    }
 
 
 def random_graph(n: int, p: float, rng: np.random.Generator):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fastgas.bench import random_graph  # noqa: F401  (re-exported to the tests)
+from fastgas.verify import random_graph  # noqa: F401  (re-exported to the tests)
 from fastgas.graph import graph_from_edges
 
 

@@ -271,17 +271,6 @@ def test_subcluster_on_duplicate_rows(tmp_path):
     assert len(set(json.loads(out.read_text())["selected"])) == 4
 
 
-def test_bench_rejects_no_timings(tmp_path, capsys):
-    """bench's whole report is timings, so it has no --no-timings flag."""
-    out = tmp_path / "b.json"
-    argv = ["bench", "--sizes", "60", "--budget", "6", "-o", str(out)]
-    with pytest.raises(SystemExit) as e:
-        main([*argv, "--no-timings"])
-    assert e.value.code == 2
-    assert "unrecognized arguments: --no-timings" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_verify_has_no_preset_or_threads(tmp_path, capsys):
     """No preset key applies to verify, which runs on one thread."""
     out = tmp_path / "v.json"
@@ -294,26 +283,15 @@ def test_verify_has_no_preset_or_threads(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("size", ["1", "0", "-5"])
-def test_bench_refuses_a_pool_below_two(tmp_path, capsys, size):
+def test_fastgas_bench_exits_2(tmp_path, capsys):
+    """The benchmark is `perfbench/run.py`: the package has no timing
+    harness of its own."""
     out = tmp_path / "b.json"
-    assert main(["bench", f"--sizes=60,{size}", "--budget", "6", "-o", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: pool size {size} is below 2, the smallest pool with a kNN graph"]
+    with pytest.raises(SystemExit) as e:
+        main(["bench", "-o", str(out)])
+    assert e.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_bench_subcommand(tmp_path):
-    out = tmp_path / "b.json"
-    assert main(["bench", "--sizes", "200,400", "--budget", "20", "--K", "4",
-                 "--d", "8", "--seed", "0", "-o", str(out)]) == 0
-    rep = json.loads(out.read_text())
-    assert [r["n"] for r in rep["rows"]] == [200, 400]
-    # select times fastgas_select, the call of `select --method fastgas`
-    assert set(rep["rows"][0]) == {"n", "num_edges", "knn", "select", "fastgas_total", "random_ms",
-                                   "top_degree_ms", "pagerank_ms", "subcluster_ms"}
-    assert len(rep["per_doubling_ratios"]) == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -321,7 +299,6 @@ def test_bench_subcommand(tmp_path):
     ["partition", "--input", "g.json"],
     ["select", "--input", "g.json"],
     ["retrieve", "--input", "pool.jsonl", "--selection", "s.json", "--tests", "t.jsonl"],
-    ["bench"],
     ["verify"],
 ])
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -394,7 +371,6 @@ def _argv(command, tmp, pool, tests):
         "select": ["select", "--input", str(tmp / "g.json")],
         "retrieve": ["retrieve", "--input", str(pool), "--tests", str(tests),
                      "--tests-format", "binary", "--selection", str(tmp / "s.json")],
-        "bench": ["bench", "--sizes", "100"],
         "partition": ["partition", "--input", str(tmp / "g.json")],
         "verify": ["verify", "--max-n", "5", "--instances", "3"],
     }[command]
@@ -420,7 +396,7 @@ def test_output_times_its_one_library_call(built, command, call, timings):
         assert list(doc["timings_ms"]) == [call] and doc["timings_ms"][call] >= 0
 
 
-def test_only_the_cli_and_bench_read_a_clock():
+def test_only_the_cli_reads_a_clock():
     """Timing stays out of the library: no other module imports `time`."""
     for path in Path(cli.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -428,7 +404,7 @@ def test_only_the_cli_and_bench_read_a_clock():
                    for alias in node.names}
         modules |= {node.module for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) and node.level == 0}
-        assert ("time" in modules) == (path.name in ("cli.py", "bench.py")), path.name
+        assert ("time" in modules) == (path.name == "cli.py"), path.name
 
 
 def test_every_raise_names_one_exit_code():
@@ -454,7 +430,7 @@ def test_every_raise_names_one_exit_code():
 
 # (subcommand, flag) pairs that are accepted but never read, each named by a
 # FOUND line in CHANGES.md: nothing seeds build-graph, no preset key is a
-# retrieve flag, and only build-graph and bench run threads. The benchmark
+# retrieve flag, and only build-graph runs threads. The benchmark
 # passes all of them, so each can go only with a benchmark change.
 _UNREAD_FLAGS = {
     ("build-graph", "seed"), ("retrieve", "preset"),
@@ -490,7 +466,7 @@ def test_every_flag_is_read():
     assert unread == _UNREAD_FLAGS
 
 
-@pytest.mark.parametrize("command", ["build-graph", "partition", "select", "retrieve", "bench", "verify"])
+@pytest.mark.parametrize("command", ["build-graph", "partition", "select", "retrieve", "verify"])
 def test_config_flag_is_gone(tmp_path, capsys, command):
     """A setting comes from its flag, the preset or its default: no
     subcommand reads a config file."""
@@ -506,9 +482,9 @@ def test_config_flag_is_gone(tmp_path, capsys, command):
 
 def test_start_up_leaves_out_bench_csv_and_thread_pools():
     """`import fastgas.cli`, which every stage pays for, loads none of the
-    modules that only bench, verify and a multi-threaded kNN use."""
+    modules that only verify and a multi-threaded kNN use, nor `csv`."""
     code = ("import sys, fastgas.cli; "
-            "print(*[m for m in ('concurrent.futures', 'csv', 'fastgas.bench') if m in sys.modules])")
+            "print(*[m for m in ('concurrent.futures', 'csv', 'fastgas.verify') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
@@ -555,7 +531,6 @@ def test_retrieve_order_flag_is_gone(built, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["select", "--method", "subcluster", "--input", "{pool}", "--K", "10", "--budget", "5"],
-    ["bench", "--sizes", "60", "--K", "10", "--budget", "5"],
 ])
 def test_subcluster_budget_below_k_exits_2(built, capsys, argv):
     tmp, pool, _ = built
@@ -603,12 +578,14 @@ def test_preset_and_flags_both_apply(built):
     {"selected": [0, True]},
     {"selected": "0,1"},
     [0, 1],
+    # a file's text: nested deeper than the JSON parser recurses
+    pytest.param("[" * 100000 + "]" * 100000, id="deep"),
 ])
 @pytest.mark.parametrize("mode", ["similar", "random"])
 def test_bad_selection_file_exits_1(built, capsys, doc, mode):
     tmp, pool, tests = built
     sel = tmp / "bad-sel.json"
-    sel.write_text(json.dumps(doc))
+    sel.write_text(doc if type(doc) is str else json.dumps(doc))
     assert main(["retrieve", "--input", str(pool), "--tests", str(tests), "--tests-format", "binary",
                  "--selection", str(sel), "--mode", mode, "-o", str(tmp / "r.json")]) == 1
     assert "bad-sel.json" in capsys.readouterr().err
@@ -729,14 +706,13 @@ def test_non_string_jsonl_id_exits_1(tmp_path, capsys, ident):
     assert capsys.readouterr().err.splitlines() == ["error: record 1: 'id' must be a string"]
 
 
-@pytest.mark.parametrize("case", ["random", "subcluster", "verify", "bench"])
+@pytest.mark.parametrize("case", ["random", "subcluster", "verify"])
 def test_negative_seed_is_accepted(built, case):
     tmp, pool, _ = built
     argv = {
         "random": ["select", "--method", "random", "--input", str(tmp / "g.json")],
         "subcluster": ["select", "--method", "subcluster", "--input", str(pool)],
         "verify": ["verify", "--instances", "5"],
-        "bench": ["bench", "--sizes", "60", "--budget", "6"],
     }[case]
     assert main([*argv, "--seed", "-1", "-o", str(tmp / "o.json")]) == 0
 
@@ -788,15 +764,8 @@ def test_random_select_and_retrieve_flags_never_traceback(tiny_pool, select, ret
         assert "Traceback" not in err.getvalue()
 
 
-# bench and verify flags, edge values included; pools stay at most 64
-# vectors and verify's budget small enough for its exhaustive oracle
-_bench_argvs = st.fixed_dictionaries({
-    "--sizes": st.lists(st.integers(-1, 64), max_size=3).map(lambda s: ",".join(map(str, s))),
-}, optional={
-    "--seed": st.integers(-3, 5), "--threads": st.integers(-1, 3), "--d": st.integers(-1, 8),
-    "--k": st.integers(-1, 12), "--K": st.integers(-1, 12), "--budget": st.integers(-1, 70),
-    "--repeats": st.integers(-1, 2),
-}).map(lambda flags: _flag_argv("bench", flags))
+# verify's flags, edge values included; its budget stays small enough for
+# the exhaustive oracle
 _verify_budgets = (st.fixed_dictionaries({"--max-n": st.integers(-1, 25), "--max-budget": st.integers(-1, 3)})
                    | st.fixed_dictionaries({"--max-n": st.integers(-1, 6), "--max-budget": st.integers(4, 30)}))
 _verify_argvs = st.builds(lambda budgets, flags: _flag_argv("verify", {**budgets, **flags}), _verify_budgets,
@@ -806,7 +775,7 @@ _verify_argvs = st.builds(lambda budgets, flags: _flag_argv("verify", {**budgets
 
 
 @settings(max_examples=100, deadline=None)
-@given(argv=_bench_argvs | _verify_argvs)
+@given(argv=_verify_argvs)
 def test_random_bench_and_verify_flags_never_traceback(tmp_path_factory, argv):
     out = tmp_path_factory.mktemp("run") / "out.json"
     err = io.StringIO()

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 import tempfile
 import tracemalloc
 import warnings
@@ -376,6 +377,11 @@ class TestRoundTrip:
         p.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(FormatError, match="magic"):
             load_embeddings(str(p), "binary")
+        # a pool of no rows or no columns is named before any array is built
+        for n, d in ((2**64 - 1, 0), (0, 4), (0, 0)):
+            p.write_bytes(b"FGEM" + struct.pack("<IQI", 1, n, d))
+            with pytest.raises(FormatError, match=f"m.bin: header gives N={n} d={d}"):
+                load_embeddings(str(p), "binary")
 
 
 class TestCosine:

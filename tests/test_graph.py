@@ -700,7 +700,7 @@ class TestSerialization:
         ([[0, 1, 1], [2, 2, 1]], None, "edge 1 [2, 2, 1]: self-loop"),
         ([[0, 1, 1], [1, 2, 1], [0, 1, 1]], None, "edge 2 [0, 1, 1]: duplicate edge"),
         ([[0, 1, 1], [2, 1, 1], [1, 2, 3]], None, "edge 2 [1, 2, 3]: duplicate edge"),
-        ([[0, 1, 1], [1, 2, -1]], None, "edge 1 [1, 2, -1]: negative weight"),
+        ([[0, 1, 1], [1, 2, -1]], None, "edge 1 [1, 2, -1]: weight other than 1"),
         # the first bad edge is named, whatever is wrong with it
         ([[0, 1, 1], [1, 1, 1], [0, 9, 1]], None, "edge 1 [1, 1, 1]: self-loop"),
         # a dict in place of vertex_weights holds other keys: num_vertices past
@@ -719,7 +719,7 @@ class TestSerialization:
         # vertex_weights, which build-graph once wrote, is not read, whatever it holds
         ([[0, 1, 1], [1, 1, 1]], [1, True, 1.5], "edge 1 [1, 1, 1]: self-loop"),
         ([[0, 1, 1], [0, 1, 1]], [False, False, False], "edge 1 [0, 1, 1]: duplicate edge"),
-        ([[0, 1, 1], [1, 2, -1]], [1, 1, -1], "edge 1 [1, 2, -1]: negative weight"),
+        ([[0, 1, 1], [1, 2, -1]], [1, 1, -1], "edge 1 [1, 2, -1]: weight other than 1"),
         ([[0, 1, 2**63]], None, "edges hold an integer outside the int64 range"),
         # edges are [u, v, weight] triples: not pairs, flat or nested deeper
         ([[0, 1]], None, "edges must be a list of [u, v, weight] triples"),
@@ -735,6 +735,10 @@ class TestSerialization:
         ([[0, 1, 1]], {"ids": "a,b,c"}, "bad graph JSON: ids must be a list of 3 strings"),
         ([[0, 1, 1]], {"ids": ["a", "b"]}, "bad graph JSON: ids must be a list of 3 strings"),
         ([[0, 1, 1]], {"ids": ["a", "b", 7]}, "bad graph JSON: id 2 7: not a string"),
+        # the selectors count neighbours where the partitioner weighs edges,
+        # so a weight that would mean something to one of them only is refused
+        ([[0, 1, 1], [1, 2, 0]], None, "edge 1 [1, 2, 0]: weight other than 1"),
+        ([[0, 1, 100]], None, "edge 0 [0, 1, 100]: weight other than 1"),
     ])
     def test_malformed_graph_names_the_edge(self, edges, vertex_weights, words):
         doc = [1, 2] if edges is None else {"num_vertices": 3, "k": 1, "edges": edges}
@@ -765,8 +769,8 @@ class TestSerialization:
             graph_from_dict({"num_vertices": -1, "edges": []})
 
     def test_either_orientation_is_accepted(self):
-        g = graph_from_dict({"num_vertices": 3, "k": 1, "edges": [[1, 0, 1], [2, 1, 4]]})
-        assert g.edge_list().tolist() == [[0, 1, 1], [1, 2, 4]]
+        g = graph_from_dict({"num_vertices": 3, "k": 1, "edges": [[1, 0, 1], [2, 1, 1]]})
+        assert g.edge_list().tolist() == [[0, 1, 1], [1, 2, 1]]
 
     @pytest.mark.parametrize("data", [b"{", b'{"num_vertices": 3}\n{}', b"\xff", b"[" * 100000])
     def test_unreadable_graph_file(self, tmp_path, data):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
 from fastgas import selection
-from fastgas.bench import _residual_degrees
+from fastgas.verify import _residual_degrees
 from fastgas.embeddings import EmbeddingMatrix, generate_synthetic
 from fastgas.errors import InternalError, InvalidParameter
 from fastgas.graph import build_knn_graph, graph_from_edges, induced_subgraph
