@@ -299,19 +299,22 @@ def test_fastgas_bench_exits_2(tmp_path, capsys):
     ["partition", "--input", "g.json"],
     ["select", "--input", "g.json"],
     ["retrieve", "--input", "pool.jsonl", "--selection", "s.json", "--tests", "t.jsonl"],
+    ["bench"],
     ["verify"],
 ])
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exits_2(argv, threads, tmp_path, capsys):
     """A thread count below one exits 2; verify, which runs on one thread,
-    has no --threads flag, so argparse refuses it with the same code."""
+    has no --threads flag, and bench is no subcommand, so argparse refuses
+    both with the same code."""
     out = tmp_path / "out.json"
     argv = [*argv, "--threads", threads, "-o", str(out)]
-    if argv[0] == "verify":
+    refused = {"verify": "unrecognized arguments: --threads", "bench": "invalid choice: 'bench'"}
+    if argv[0] in refused:
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2
-        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        assert refused[argv[0]] in capsys.readouterr().err
     else:
         assert main(argv) == 2
         assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
