@@ -511,20 +511,12 @@ def induced_subgraph(g: SimilarityGraph, vertices) -> tuple[SimilarityGraph, np.
         raise InvalidParameter("induced_subgraph needs a nonempty vertex set")
     if mapping[0] < 0 or mapping[-1] >= g.num_vertices:
         raise InvalidParameter(f"vertex set outside [0, {g.num_vertices})")
-    member = np.zeros(g.num_vertices, dtype=bool)
-    member[mapping] = True
-    # gather only the members' adjacency slices (cost is their edges, not |E|)
-    starts = g.indptr[mapping]
-    counts = g.indptr[mapping + 1] - starts
-    total = int(counts.sum())
-    ends = np.cumsum(counts)
-    idx = np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
-    nbr = g.neighbors[idx]
-    src = np.repeat(mapping, counts)
-    keep = member[nbr] & (src < nbr)
-    su = np.searchsorted(mapping, src[keep])
-    sv = np.searchsorted(mapping, nbr[keep])
-    edges = np.column_stack([su, sv, g.edge_weights[idx[keep]]])
+    # old -> new index, -1 off the set; increasing on it, so u < v is kept
+    new_id = np.full(g.num_vertices, -1, dtype=np.int64)
+    new_id[mapping] = np.arange(len(mapping))
+    su, sv = np.repeat(new_id, np.diff(g.indptr)), new_id[g.neighbors]
+    keep = (su >= 0) & (su < sv)
+    edges = np.column_stack([su[keep], sv[keep], g.edge_weights[keep]])
     sub = graph_from_edges(len(mapping), edges, vertex_weights=g.vertex_weights[mapping])
     return sub, mapping
 

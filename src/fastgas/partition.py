@@ -1,11 +1,13 @@
 """Balanced K-way partitioning by multilevel recursive bisection.
 
-Each bisection coarsens the graph by random matchings, grows a BFS region
-from each of 10 random seeds on the coarsest graph, keeps the trial with the
-smallest cut, and projects the result back level by level with refinement.
-Each refinement pass seeds every vertex, makes single highest-gain moves
-until no admissible move remains, and then rewinds to its best prefix; no
-pass starts at or runs past (balance violation, cut) = (0, 0), the lowest.
+Each bisection coarsens the graph by random matchings, puts on side 0 the
+shortest BFS prefix that holds side 0's target weight from each of 10 random
+starts on the coarsest graph, keeps the trial with the smallest cut, and
+projects the result back level by level with refinement. Each refinement
+pass seeds every vertex, makes single highest-gain moves until no admissible
+move remains, then rewinds to its best prefix and recounts the side weights
+from the sides; no pass starts at or runs past (balance violation, cut) =
+(0, 0), the lowest.
 Refinement checks its cut bookkeeping against recomputed cuts, and never
 lets the cut of a feasible bisection rise; a violation raises InternalError
 (exit 3).
@@ -84,20 +86,13 @@ def random_matching_coarsen(g: SimilarityGraph, rng: np.random.Generator) -> Coa
         coarse_id[u] = cid
         cid += 1
 
-    cw = np.zeros(cid, dtype=np.int64)
-    np.add.at(cw, coarse_id, g.vertex_weights)
-
+    cw = np.bincount(coarse_id, weights=g.vertex_weights).astype(np.int64)
     cu = coarse_id[g.sources()]
     cv = coarse_id[nbrs]
     keep = cu < cv  # drops self-loops and keeps one direction
-    if keep.any():
-        key = cu[keep] * cid + cv[keep]
-        uniq, inv = np.unique(key, return_inverse=True)
-        wsum = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(wsum, inv, g.edge_weights[keep])
-        edges = np.column_stack([uniq // cid, uniq % cid, wsum])
-    else:
-        edges = np.empty((0, 3), dtype=np.int64)
+    uniq, inv = np.unique(cu[keep] * cid + cv[keep], return_inverse=True)
+    wsum = np.bincount(inv, weights=g.edge_weights[keep]).astype(np.int64)
+    edges = np.column_stack([uniq // cid, uniq % cid, wsum])
     coarse = graph_from_edges(cid, edges, vertex_weights=cw)
     return CoarseningLevel(graph=coarse, match_map=coarse_id)
 
@@ -107,49 +102,44 @@ def bfs_initial_bisect(
     rng: np.random.Generator,
     target0: float,
 ) -> Bisection:
-    """Grow a BFS region from each of BFS_TRIALS random starts until side 0
-    holds target0 vertex weight; keep the trial with the smallest cut
-    (earlier trial wins ties)."""
+    """From each of BFS_TRIALS random starts, put on side 0 the shortest
+    prefix of the BFS visit order that holds target0 vertex weight; keep the
+    trial with the smallest cut (earlier trial wins ties)."""
     n = g.num_vertices
     if n < 2:
         raise InvalidParameter(f"cannot bisect a graph with {n} vertices")
-    weights = g.vertex_weights
     best: Bisection | None = None
     starts = rng.integers(0, n, size=BFS_TRIALS)
     for start in starts:
+        order = _bfs_order(g, int(start))
+        grown = np.searchsorted(np.cumsum(g.vertex_weights[order]), target0) + 1
         side = np.ones(n, dtype=np.int8)
-        side[start] = 0
-        acc = int(weights[start])
-        queue = [int(start)]
-        qi = 0
-        grown = 1
-        next_fallback = 0
-        while acc < target0 and grown < n:
-            if qi >= len(queue):
-                # disconnected: restart from the lowest-index untouched vertex
-                while side[next_fallback] == 0:
-                    next_fallback += 1
-                v = next_fallback
-                side[v] = 0
-                acc += int(weights[v])
-                grown += 1
-                queue.append(v)
-                qi = len(queue) - 1
-                continue
-            u = queue[qi]
-            qi += 1
-            for v in g.neighbors_of(u)[0]:
-                if side[v] == 1:
-                    side[v] = 0
-                    acc += int(weights[v])
-                    grown += 1
-                    queue.append(int(v))
-                    if acc >= target0 or grown >= n:
-                        break
+        side[order[:grown]] = 0
         cut = edge_cut(g, side)
         if best is None or cut < best.cut:
             best = Bisection(side=side, cut=cut)
     return best
+
+
+def _bfs_order(g: SimilarityGraph, start: int) -> np.ndarray:
+    """Every vertex in BFS visit order from `start`, neighbors in index
+    order; when the search runs out it restarts from the lowest-index
+    unvisited vertex."""
+    seen = np.zeros(g.num_vertices, dtype=bool)
+    order: list[int] = []
+    qi = 0
+    for root in (start, *range(g.num_vertices)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        while qi < len(order):
+            nbr = g.neighbors_of(order[qi])[0]
+            fresh = nbr[~seen[nbr]]
+            seen[fresh] = True
+            order.extend(fresh.tolist())
+            qi += 1
+    return np.array(order, dtype=np.int64)
 
 
 def refine_kl(
@@ -163,7 +153,8 @@ def refine_kl(
     unlocked vertex whose move is admissible and locks it, until no
     admissible move remains or the score (balance violation, cut) reaches
     (0, 0), which no state beats; it then rewinds to its best prefix
-    (feasible states preferred, then lowest cut). No pass starts at (0, 0),
+    (feasible states preferred, then lowest cut) in one flip of the undone
+    moves, and recounts side weights and sizes. No pass starts at (0, 0),
     and refinement stops after a pass that does not improve on its start.
     Returned cut <= input cut whenever the input state is feasible.
 
@@ -178,8 +169,8 @@ def refine_kl(
         raise InvalidParameter("side flags must cover every vertex with values in {0,1}")
     weights = g.vertex_weights
     maxw = int(weights.max()) if n else 1
-    sw = [int(weights[side == 0].sum()), int(weights[side == 1].sum())]
-    counts = [int((side == 0).sum()), int((side == 1).sum())]
+    sw = [int(weights[side == s].sum()) for s in (0, 1)]
+    counts = [int((side == s).sum()) for s in (0, 1)]
     cut = edge_cut(g, side)
     if cut != b.cut:
         raise InternalError(f"refinement got a bisection of cut {cut} that claims cut {b.cut}")
@@ -197,10 +188,9 @@ def refine_kl(
         if best_score in (start_score, (0, 0)):
             break
         start_score = best_score
-        gain = np.zeros(n, dtype=np.int64)
         crossing = side[src] != side[g.neighbors]
-        np.add.at(gain, src[crossing], g.edge_weights[crossing])
-        np.subtract.at(gain, src[~crossing], g.edge_weights[~crossing])
+        gain = np.bincount(src, weights=np.where(crossing, g.edge_weights, -g.edge_weights),
+                           minlength=n).astype(np.int64)
 
         locked = np.zeros(n, dtype=bool)
         heaps = [[], []]
@@ -256,14 +246,10 @@ def refine_kl(
                 best_score = score
                 best_len = len(moves)
 
-        # rewind to the best prefix
-        for v in moves[best_len:]:
-            s = int(side[v])
-            side[v] = 1 - s
-            sw[s] -= int(weights[v])
-            sw[1 - s] += int(weights[v])
-            counts[s] -= 1
-            counts[1 - s] += 1
+        # rewind to the best prefix, then recount from the sides
+        side[np.array(moves[best_len:], dtype=np.int64)] ^= 1
+        sw = [int(weights[side == s].sum()) for s in (0, 1)]
+        counts = [int((side == s).sum()) for s in (0, 1)]
         cut = edge_cut(g, side)
         if cut != best_score[1]:
             raise InternalError(f"refinement tracked cut {best_score[1]}, its sides cut {cut}")
@@ -279,21 +265,19 @@ def multilevel_bisect(
     bounds: SideBounds,
 ) -> Bisection:
     """Coarsen, bisect the coarsest graph, project back with refinement."""
-    levels: list[CoarseningLevel] = []
+    levels: list[tuple[SimilarityGraph, np.ndarray]] = []  # (fine graph, its match_map)
     cur = g
     while cur.num_vertices > COARSEN_STOP_VERTICES:
         lvl = random_matching_coarsen(cur, rng)
         if lvl.graph.num_vertices > (1 - COARSEN_MIN_SHRINK) * cur.num_vertices:
             break
-        levels.append(lvl)
+        levels.append((cur, lvl.match_map))
         cur = lvl.graph
 
     b = bfs_initial_bisect(cur, rng, target0=bounds.target0)
     b = refine_kl(cur, b, bounds=bounds)
-    # level i was coarsened from fine_graphs[i]
-    fine_graphs = [g] + [lvl.graph for lvl in levels[:-1]]
-    for lvl, fine_g in zip(reversed(levels), reversed(fine_graphs)):
-        b = refine_kl(fine_g, Bisection(side=b.side[lvl.match_map], cut=b.cut), bounds=bounds)
+    for fine_g, match_map in reversed(levels):
+        b = refine_kl(fine_g, Bisection(side=b.side[match_map], cut=b.cut), bounds=bounds)
     return b
 
 

@@ -283,8 +283,7 @@ def subcluster_select(E: EmbeddingMatrix, K: int, M: int, seed: int) -> Selectio
         picks = []
         for s in range(q):
             inside = members[sub_labels == s]
-            d2 = np.sum((x[inside] - centroids[s]) ** 2, axis=1)
-            picks.append(int(inside[np.argmin(d2)]))
+            picks.append(int(inside[np.argmin(_squared_distances(x[inside], centroids[s]))]))
         picks.sort()
         per_part[c] = picks
         selected.extend(picks)

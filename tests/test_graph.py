@@ -643,6 +643,23 @@ class TestInducedSubgraph:
         expected = {(0, 1), (1, 2)}
         assert {tuple(e[:2]) for e in sub.edge_list().tolist()} == expected
 
+    def test_matches_filtered_edge_list(self):
+        # brute force: keep the edges of edge_list() with both ends in the set
+        rng = np.random.default_rng(25)
+        for _ in range(500):
+            n = int(rng.integers(1, 40))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
+            edges = [(u, v, int(rng.integers(1, 6))) for u, v in pairs]
+            g = graph_from_edges(n, edges, vertex_weights=rng.integers(1, 5, size=n))
+            vertices = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1))).tolist()
+            sub, mapping = induced_subgraph(g, vertices)
+            members = sorted(set(vertices))
+            assert mapping.tolist() == members
+            new = {v: i for i, v in enumerate(members)}
+            expected = [[new[u], new[v], w] for u, v, w in g.edge_list().tolist() if u in new and v in new]
+            assert sub.edge_list().tolist() == expected
+            assert sub.vertex_weights.tolist() == g.vertex_weights[members].tolist()
+
     def test_empty_set(self):
         with pytest.raises(InvalidParameter, match="induced_subgraph needs a nonempty vertex set"):
             induced_subgraph(cycle_graph(4), [])

@@ -35,6 +35,49 @@ def kway2_bounds(g):
     return bounds
 
 
+def grown_bisect_oracle(g, rng, target0):
+    """Reference: the growth loop bfs_initial_bisect replaced. Each trial
+    adds BFS-visited vertices to side 0 one at a time until it holds target0
+    weight, restarting from the lowest-index untouched vertex when the
+    queue runs out."""
+    n = g.num_vertices
+    weights = g.vertex_weights
+    best = None
+    for start in rng.integers(0, n, size=partition.BFS_TRIALS):
+        side = np.ones(n, dtype=np.int8)
+        side[start] = 0
+        acc = int(weights[start])
+        queue = [int(start)]
+        qi = 0
+        grown = 1
+        next_fallback = 0
+        while acc < target0 and grown < n:
+            if qi >= len(queue):
+                while side[next_fallback] == 0:
+                    next_fallback += 1
+                v = next_fallback
+                side[v] = 0
+                acc += int(weights[v])
+                grown += 1
+                queue.append(v)
+                qi = len(queue) - 1
+                continue
+            u = queue[qi]
+            qi += 1
+            for v in g.neighbors_of(u)[0]:
+                if side[v] == 1:
+                    side[v] = 0
+                    acc += int(weights[v])
+                    grown += 1
+                    queue.append(int(v))
+                    if acc >= target0 or grown >= n:
+                        break
+        cut = edge_cut(g, side)
+        if best is None or cut < best.cut:
+            best = Bisection(side=side, cut=cut)
+    return best
+
+
 def exhaustive_min_balanced_cut(g, max_imbalance=0):
     """Oracle: enumerate all bisections whose side sizes differ by at most
     max_imbalance (plus parity slack) and return the minimum cut."""
@@ -116,6 +159,23 @@ class TestBfsInitialBisect:
         g = complete_graph(4)
         b = bfs_initial_bisect(g, rng, kway2_bounds(g).target0)
         assert b.cut == 4
+
+    def test_matches_growth_loop_oracle(self):
+        rng = np.random.default_rng(2025)
+        for i in range(1000):
+            n = int(rng.integers(2, 40))
+            p = (0.02, 0.1, 0.3)[i % 3]  # 0.02 leaves most graphs disconnected
+            edges = [(u, v, int(rng.integers(1, 4))) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p]
+            g = graph_from_edges(n, edges, vertex_weights=rng.integers(1, 5, size=n))
+            target0 = g.total_vertex_weight * rng.uniform(0.3, 0.9)
+            if i % 2:
+                target0 = float(round(target0))  # whole, as w·kl/kt often is: it can equal a prefix weight
+            seed = int(rng.integers(1 << 32))
+            got = bfs_initial_bisect(g, np.random.default_rng(seed), target0)
+            want = grown_bisect_oracle(g, np.random.default_rng(seed), target0)
+            assert got.cut == want.cut
+            assert np.array_equal(got.side, want.side)
 
     def test_side_weights_sum(self, rng):
         for _ in range(10):
