@@ -20,7 +20,8 @@ import numpy as np
 
 from .embeddings import load_embeddings
 from .errors import FastgasError, FormatError, InvalidParameter
-from .graph import build_knn_graph, graph_to_dict, load_graph
+from .graph import graph_to_dict, load_graph
+from .knn import build_knn_graph
 from .partition import partition_kway, partition_to_dict
 from .retrieval import retrieve_random, retrieve_similar
 from .selection import (

@@ -16,7 +16,8 @@ from scipy.optimize import linear_sum_assignment
 import fastgas as fg
 from fastgas.cli import main as cli_main
 from fastgas.embeddings import generate_synthetic, save_embeddings, synthetic_labels
-from fastgas.graph import build_knn_graph, edge_cut
+from fastgas.graph import edge_cut
+from fastgas.knn import build_knn_graph
 from fastgas.retrieval import retrieve_similar
 from fastgas.selection import fastgas_select, select_per_part
 from fastgas.verify import run_verify

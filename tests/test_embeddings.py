@@ -22,7 +22,7 @@ from fastgas.embeddings import (
     synthetic_labels,
 )
 from fastgas.errors import FormatError, InvalidParameter
-from fastgas.graph import build_knn_graph
+from fastgas.knn import build_knn_graph
 from fastgas.selection import lloyd_kmeans
 
 

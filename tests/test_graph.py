@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_graph, path_graph, random_graph, star_graph
-from fastgas import graph
+from fastgas import knn
 from fastgas.embeddings import EmbeddingMatrix, cosine_similarity, generate_synthetic
 from fastgas.errors import FormatError, InvalidParameter
 from fastgas.graph import (
-    build_knn_graph,
     edge_cut,
     graph_from_edges,
     graph_from_dict,
@@ -24,6 +23,7 @@ from fastgas.graph import (
     induced_subgraph,
     load_graph,
 )
+from fastgas.knn import build_knn_graph
 
 
 def brute_force_knn_edges(emb, k):
@@ -68,8 +68,8 @@ def per_row_knn_oracle(emb, k):
 def knn_edges(emb, k, threads=1, block_rows=None):
     """The kNN edge set; `block_rows` overrides the block size, so that a
     small pool spans several blocks."""
-    rows = graph._BLOCK_ROWS if block_rows is None else block_rows
-    with mock.patch.object(graph, "_BLOCK_ROWS", rows):
+    rows = knn._BLOCK_ROWS if block_rows is None else block_rows
+    with mock.patch.object(knn, "_BLOCK_ROWS", rows):
         g = build_knn_graph(emb, k, threads=threads)
     return {tuple(e[:2]) for e in g.edge_list().tolist()}
 
@@ -77,9 +77,9 @@ def knn_edges(emb, k, threads=1, block_rows=None):
 def screened(emb, k, block_rows=None):
     """The float32 similarities of the screen's candidate pairs, their
     float64 similarities, and the screen's eps."""
-    rows = graph._BLOCK_ROWS if block_rows is None else block_rows
+    rows = knn._BLOCK_ROWS if block_rows is None else block_rows
     got = {}
-    screen_rows, screen = graph._screen_rows, graph._knn_screen
+    screen_rows, screen = knn._screen_rows, knn._knn_screen
 
     def capture_rows(vecs, perm, starts):
         got["perm"] = perm
@@ -89,8 +89,8 @@ def screened(emb, k, block_rows=None):
         got["found"], got["eps"] = screen(*args)
         return got["found"], got["eps"]
 
-    with mock.patch.object(graph, "_BLOCK_ROWS", rows), mock.patch.object(graph, "_screen_rows", capture_rows), \
-            mock.patch.object(graph, "_knn_screen", capture):
+    with mock.patch.object(knn, "_BLOCK_ROWS", rows), mock.patch.object(knn, "_screen_rows", capture_rows), \
+            mock.patch.object(knn, "_knn_screen", capture):
         build_knn_graph(emb, k)
     x = emb.vectors.astype(np.float64)
     unit = (x / np.linalg.norm(x, axis=1)[:, None])[got["perm"]]
@@ -128,9 +128,9 @@ def counted_work():
         return lexsort(keys)
 
     counting_add.outer = add.outer
-    with mock.patch.object(graph.np, "matmul", counting_matmul), \
-            mock.patch.object(graph.np, "add", counting_add), \
-            mock.patch.object(graph.np, "lexsort", counting_lexsort):
+    with mock.patch.object(knn.np, "matmul", counting_matmul), \
+            mock.patch.object(knn.np, "add", counting_add), \
+            mock.patch.object(knn.np, "lexsort", counting_lexsort):
         yield count
 
 
@@ -342,7 +342,7 @@ class TestKnnExactness:
         # candidates with the filter's temporaries and its copy of the live
         # columns within a second strip; a float32 n x n array (16 strips)
         # would not fit
-        strip = 4 * graph._BLOCK_ROWS * (n + graph._GROUP_COLUMNS)
+        strip = 4 * knn._BLOCK_ROWS * (n + knn._GROUP_COLUMNS)
         assert peak <= 2 * strip + n * d * 4
 
     @pytest.mark.parametrize("threads", [1, 8])
@@ -381,7 +381,7 @@ class TestKnnExactness:
         emb = as_emb(x)
         with counted_work() as centred:
             got = knn_edges(emb, 10)
-        with mock.patch.object(graph, "_CENTRED_RADIUS", -1.0), counted_work() as plain:
+        with mock.patch.object(knn, "_CENTRED_RADIUS", -1.0), counted_work() as plain:
             assert knn_edges(emb, 10) == got
         assert centred["corrected"] == centred["similarities"] > 0
         assert plain["corrected"] == 0
@@ -397,17 +397,17 @@ class TestKnnExactness:
         x = np.concatenate([tight_clusters(rng, 64, 16, [s]) for s in (0.05, 0.05, 1.5, 0.05)])
         emb = as_emb(x)
         starts = np.arange(0, 257, 32)
-        screen_rows, got = graph._screen_rows, {}
+        screen_rows, got = knn._screen_rows, {}
 
         def capture(vecs, perm, starts):
             got["radius"], got["res"] = (out := screen_rows(vecs, perm, starts))[2:]
             return out
 
-        with mock.patch.object(graph, "_block_order", lambda v: (np.arange(len(v)), starts)), \
-                mock.patch.object(graph, "_screen_rows", capture):
+        with mock.patch.object(knn, "_block_order", lambda v: (np.arange(len(v)), starts)), \
+                mock.patch.object(knn, "_screen_rows", capture):
             edges = {tuple(e[:2]) for e in build_knn_graph(emb, 5, threads=threads).edge_list().tolist()}
         radius = got["radius"]
-        assert np.all(radius[:4] <= graph._CENTRED_RADIUS) and radius[4] > graph._CENTRED_RADIUS
+        assert np.all(radius[:4] <= knn._CENTRED_RADIUS) and radius[4] > knn._CENTRED_RADIUS
         assert np.all(np.isinf(radius[5:]))
         unit = x.astype(np.float64) / np.linalg.norm(x.astype(np.float64), axis=1)[:, None]
         assert np.array_equal(got["res"], unit.astype(np.float32))
@@ -479,7 +479,7 @@ class TestRoundingError:
         t = 0.25 * (1 + 2.0**-24 - 2.0**-50)
         err, rho = self.error(1 - t, 1 - t, 1.0)
         assert err == pytest.approx(0.375 * 2.0**-24, rel=1e-6)
-        assert err <= graph._rounding_error(1, rho)
+        assert err <= knn._rounding_error(1, rho)
 
     @pytest.mark.parametrize("d", [2, 8, 64, 768])
     def test_bound_holds_for_random_tight_rows(self, d):
@@ -489,7 +489,7 @@ class TestRoundingError:
             z /= np.linalg.norm(z)
             xi, xj = (v / np.linalg.norm(v) for v in z + rng.normal(size=(2, d)) * spread / np.sqrt(d))
             err, rho = self.error(xi, xj, z)
-            assert err <= graph._rounding_error(d, rho)
+            assert err <= knn._rounding_error(d, rho)
 
 
 class TestBuildKnn:

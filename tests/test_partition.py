@@ -8,7 +8,8 @@ from conftest import complete_graph, cycle_graph, path_graph, random_graph, two_
 from fastgas import partition
 from fastgas.embeddings import generate_synthetic
 from fastgas.errors import InternalError, InvalidParameter
-from fastgas.graph import SimilarityGraph, build_knn_graph, edge_cut, graph_from_edges
+from fastgas.graph import SimilarityGraph, edge_cut, graph_from_edges
+from fastgas.knn import build_knn_graph
 from fastgas.partition import (
     Bisection,
     bfs_initial_bisect,
@@ -343,7 +344,7 @@ class TestPartitionKway:
         from scipy.optimize import linear_sum_assignment
 
         from fastgas.embeddings import generate_synthetic, synthetic_labels
-        from fastgas.graph import build_knn_graph
+        from fastgas.knn import build_knn_graph
 
         emb = generate_synthetic(600, 32, 6, 0.1, seed=3)
         g = build_knn_graph(emb, 10)

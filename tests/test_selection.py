@@ -8,7 +8,8 @@ from fastgas import selection
 from fastgas.verify import _residual_degrees
 from fastgas.embeddings import EmbeddingMatrix, generate_synthetic
 from fastgas.errors import InternalError, InvalidParameter
-from fastgas.graph import build_knn_graph, graph_from_edges, induced_subgraph
+from fastgas.graph import graph_from_edges, induced_subgraph
+from fastgas.knn import build_knn_graph
 from fastgas.partition import Partition
 from fastgas.selection import (
     allocate_quotas,
