@@ -12,8 +12,6 @@ from .errors import FormatError, InvalidParameter
 
 _MAGIC = b"FGEM"
 _VERSION = 1
-# JSONL records parsed before their vectors become one float32 block.
-_JSONL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -34,21 +32,9 @@ class EmbeddingMatrix:
             raise FormatError(f"expected a non-empty 2-D matrix, got shape {vecs.shape}")
         if len(self.ids) != vecs.shape[0]:
             raise FormatError(f"{len(self.ids)} ids for {vecs.shape[0]} rows")
-        if len(set(self.ids)) != len(self.ids):
-            seen = set()
-            for i, x in enumerate(self.ids):
-                if x in seen:
-                    raise FormatError(f"duplicate id {x!r} at record {i}")
-                seen.add(x)
-        # row extremes take no n x d temporary: a row is finite iff both are
-        # (max and min propagate NaN), and zero iff both are 0
-        top, bottom = vecs.max(axis=1), vecs.min(axis=1)
-        bad = np.flatnonzero(~(np.isfinite(top) & np.isfinite(bottom)))
-        if bad.size:
-            raise FormatError(f"non-finite value at record {bad[0]}")
-        zero = np.flatnonzero((top == 0) & (bottom == 0))
-        if zero.size:
-            raise FormatError(f"zero vector at record {zero[0]}")
+        fault = _first_bad_row(self.ids, vecs)
+        if fault:
+            raise FormatError(f"{fault[1]} at record {fault[0]}")
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
 
@@ -91,94 +77,80 @@ def save_embeddings(emb: EmbeddingMatrix, path: str, format: str = "jsonl") -> N
         raise InvalidParameter(f"unknown format {format!r}")
 
 
+def _first_bad_row(ids: list[str], vecs: np.ndarray) -> tuple[int, str] | None:
+    """The first row with a repeated id, a non-finite value or no nonzero
+    value, and its fault; None if there is none."""
+    first: dict[str, int] = {}
+    faults = [] if len(set(ids)) == len(ids) else [
+        next((i, f"duplicate id {x!r}") for i, x in enumerate(ids) if first.setdefault(x, i) != i)]
+    # row extremes take no n x d temporary: a row is finite iff both are
+    # (max and min propagate NaN), and zero iff both are 0
+    top, bottom = vecs.max(axis=1), vecs.min(axis=1)
+    for bad, what in ((~(np.isfinite(top) & np.isfinite(bottom)), "non-finite value"),
+                      ((top == 0) & (bottom == 0), "zero vector")):
+        if bad.any():
+            faults.append((int(bad.argmax()), what))
+    return min(faults, key=lambda f: f[0], default=None)
+
+
 def _load_jsonl(path: str) -> EmbeddingMatrix:
-    """Parse one JSON object per line into float32 rows, `_JSONL_CHUNK` at a time.
-
-    A chunk whose vectors numpy reads as one 2-D numeric array of the file's
-    width skips the per-record checks, unless a line of it holds a `u` or an
-    `f`, as `true` and `false` do: numpy reads [1, true] as a number. Any
-    other chunk, and the records before a line that fails, are checked
-    record by record, so the first bad record in file order is the one named.
-    """
-    ids: list[str] = []
-    blocks: list[np.ndarray] = []
-    pending: list[tuple[int, object]] = []  # (line number, vector) not yet converted
-    dim = None
-    maybe_bool = False  # a pending line might hold true or false
-    # surrogateescape keeps a bad byte on its line, where it can be named
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        for i, line in enumerate(f):
-            if not line.strip():
-                continue
-            try:
-                if not line.isascii():
-                    line.encode("utf-8")
-                obj = json.loads(line)
-            except UnicodeEncodeError as e:
-                _check_records(pending, dim)
-                raise FormatError(f"record {i}: not valid UTF-8") from e
-            except (ValueError, RecursionError) as e:
-                _check_records(pending, dim)
-                raise FormatError(f"record {i}: invalid JSON ({e})") from e
-            if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
-                _check_records(pending, dim)
-                raise FormatError(f"record {i}: expected object with 'id' and 'vector'")
-            if not isinstance(obj["id"], str):
-                _check_records(pending, dim)
-                raise FormatError(f"record {i}: 'id' must be a string")
-            ids.append(obj["id"])
-            pending.append((i, obj["vector"]))
-            maybe_bool = maybe_bool or "u" in line or "f" in line
-            if len(pending) == _JSONL_CHUNK:
-                dim = _convert_records(pending, dim, blocks, maybe_bool)
-                maybe_bool = False
-        if pending:
-            _convert_records(pending, dim, blocks, maybe_bool)
-    if not blocks:
-        raise FormatError(f"{path}: no records")
-    vectors = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    blocks.clear()  # before EmbeddingMatrix's checks allocate their temporaries
-    return EmbeddingMatrix(ids=ids, vectors=vectors)
-
-
-def _check_records(pending: list, dim: int | None) -> int | None:
-    """The per-record vector checks; raises at the first bad record, else returns the width."""
-    for i, vec in pending:
-        if not isinstance(vec, list) or not all(type(x) in (int, float) for x in vec):
-            raise FormatError(f"record {i}: 'vector' must be an array of numbers")
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise FormatError(f"record {i}: dimension {len(vec)} != {dim}")
-    return dim
-
-
-def _convert_records(pending: list, dim: int | None, blocks: list, maybe_bool: bool) -> int:
-    """Append the pending vectors to `blocks` as one float32 block; returns
-    the width. `maybe_bool` sends them through the per-record checks."""
-    rows = [vec for _, vec in pending]
-    try:
-        arr = np.array(rows)
-    except ValueError:  # ragged or nested
-        arr = None
-    if (maybe_bool or arr is None or arr.ndim != 2 or arr.dtype.kind not in "iuf"
-            or dim is not None and arr.shape[1] != dim):
-        dim = _check_records(pending, dim)
+    """Parse each line into a float32 row before reading the next, checking a
+    vector value by value unless numpy reads it as a numeric row as wide as
+    the first and its line holds no `u` or `f` (numpy reads true as 1)."""
+    first: dict[str, int] = {}  # each id and its line
+    rows: list[np.ndarray] = []
+    # surrogateescape keeps a bad byte on its line; a float32 overflow becomes inf
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f, np.errstate(over="ignore"):
         try:
-            arr = np.asarray(rows, dtype=np.float64)
-        except OverflowError:  # an integer beyond the float64 range
-            for i, vec in pending:
+            for i, line in enumerate(f):
+                if not line.strip():
+                    continue
                 try:
-                    np.asarray(vec, dtype=np.float64)
-                except OverflowError as e:
-                    raise FormatError(f"record {i}: value out of float64 range") from e
+                    if not line.isascii():
+                        line.encode("utf-8")
+                    obj = json.loads(line)
+                except UnicodeEncodeError as e:
+                    raise FormatError(f"record {i}: not valid UTF-8") from e
+                except (ValueError, RecursionError) as e:
+                    raise FormatError(f"record {i}: invalid JSON ({e})") from e
+                if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
+                    raise FormatError(f"record {i}: expected object with 'id' and 'vector'")
+                if not isinstance(obj["id"], str):
+                    raise FormatError(f"record {i}: 'id' must be a string")
+                vec = obj["vector"]
+                try:
+                    row = np.array(vec)
+                except ValueError:  # ragged or nested
+                    row = None
+                shape = rows[0].shape if rows else None
+                if row is None or row.shape != shape or row.dtype.kind not in "iuf" or "u" in line or "f" in line:
+                    if not isinstance(vec, list) or not vec or not all(type(x) in (int, float) for x in vec):
+                        raise FormatError(f"record {i}: 'vector' must be a non-empty array of numbers")
+                    if shape and len(vec) != shape[0]:
+                        raise FormatError(f"record {i}: dimension {len(vec)} != {shape[0]}")
+                    try:
+                        row = np.asarray(vec, dtype=np.float64)
+                    except OverflowError as e:  # an integer beyond the float64 range
+                        raise FormatError(f"record {i}: value out of float64 range") from e
+                if first.setdefault(obj["id"], i) != i:
+                    raise FormatError(f"duplicate id {obj['id']!r} at record {i}")
+                # through float64, so integers round exactly as float64(x) would
+                rows.append(row.astype(np.float64, copy=False).astype(np.float32))
+        except FormatError:
+            if rows:  # a value fault on an earlier line is the first fault
+                _matrix(first, rows)
             raise
-    pending.clear()
-    # through float64, so integers round exactly as float64(x) would; a value
-    # beyond float32 becomes inf, which EmbeddingMatrix names
-    with np.errstate(over="ignore"):
-        blocks.append(arr.astype(np.float64, copy=False).astype(np.float32))
-    return arr.shape[1]
+    if not rows:
+        raise FormatError(f"{path}: no records")
+    return _matrix(first, rows)
+
+
+def _matrix(first: dict[str, int], rows: list[np.ndarray]) -> EmbeddingMatrix:
+    try:
+        return EmbeddingMatrix(ids=list(first), vectors=np.stack(rows))
+    except FormatError:  # a value fault, which EmbeddingMatrix names by its row
+        row, what = _first_bad_row(list(first), np.stack(rows))
+        raise FormatError(f"{what} at record {list(first.values())[row]}") from None
 
 
 def _load_binary(path: str) -> EmbeddingMatrix:

@@ -146,7 +146,7 @@ def graph_from_dict(d: dict) -> SimilarityGraph:
 
     `num_vertices` is from 1 to `_MAX_VERTICES`, `edges` is a list of
     [u, v, weight] triples and `ids`, if given, a list of num_vertices
-    strings; other keys, such as build-graph's `k`, are not read.
+    distinct strings; other keys, such as build-graph's `k`, are not read.
     Every number must be a JSON integer: a float, a numeric string, true or
     false is named and rejected."""
     if type(d) is not dict:
@@ -171,9 +171,12 @@ def graph_from_dict(d: dict) -> SimilarityGraph:
     if ids is not None:
         if type(ids) is not list or len(ids) != n:
             raise FormatError(f"bad graph JSON: ids must be a list of {n} strings")
+        first: dict[str, int] = {}
         for j, ident in enumerate(ids):
             if type(ident) is not str:
                 raise FormatError(f"bad graph JSON: id {j} {json.dumps(ident)}: not a string")
+            if first.setdefault(ident, j) != j:
+                raise FormatError(f"bad graph JSON: id {j} {json.dumps(ident)} repeats id {first[ident]}")
     _check_edges(edges, n)
     return graph_from_edges(n, edges)
 

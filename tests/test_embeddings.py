@@ -5,7 +5,6 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,6 +66,13 @@ class TestLoadJsonl:
             with pytest.raises(FormatError, match="non-finite value at record 0"):
                 EmbeddingMatrix(ids=["a"], vectors=[[1e39, 1.0]])
 
+    def test_matrix_names_its_first_bad_row(self):
+        rows = [[1, 1], [0, 0], [np.inf, 1], [1, 2]]
+        with pytest.raises(FormatError, match="zero vector at record 1$"):
+            EmbeddingMatrix(ids=["a", "b", "c", "a"], vectors=rows)
+        with pytest.raises(FormatError, match="duplicate id 'a' at record 1$"):
+            EmbeddingMatrix(ids=["a", "a", "c", "d"], vectors=rows)
+
     def test_zero_vector_rejected(self, tmp_path):
         p = tmp_path / "e.jsonl"
         write_jsonl(p, [{"id": "a", "vector": [0.0, 0.0]}])
@@ -79,9 +85,11 @@ class TestLoadJsonl:
 
 
 def _reference_load_jsonl(path: str) -> EmbeddingMatrix:
-    """The record-by-record JSONL loader that the chunked one replaced: the oracle."""
+    """A record-by-record JSONL loader that checks each record in full before
+    it reads the next: the oracle."""
     ids: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
+    seen = set()
     dim = None
     with open(path, "r", encoding="utf-8") as f:
         for i, line in enumerate(f):
@@ -96,17 +104,26 @@ def _reference_load_jsonl(path: str) -> EmbeddingMatrix:
             if not isinstance(obj["id"], str):
                 raise FormatError(f"record {i}: 'id' must be a string")
             vec = obj["vector"]
-            if not isinstance(vec, list) or not all(type(x) in (int, float) for x in vec):
-                raise FormatError(f"record {i}: 'vector' must be an array of numbers")
+            if not isinstance(vec, list) or not vec or not all(type(x) in (int, float) for x in vec):
+                raise FormatError(f"record {i}: 'vector' must be a non-empty array of numbers")
             if dim is None:
                 dim = len(vec)
             elif len(vec) != dim:
                 raise FormatError(f"record {i}: dimension {len(vec)} != {dim}")
+            with np.errstate(over="ignore"):
+                row = np.asarray(vec, dtype=np.float64).astype(np.float32)
+            if obj["id"] in seen:
+                raise FormatError(f"duplicate id {obj['id']!r} at record {i}")
+            if not np.isfinite(row).all():
+                raise FormatError(f"non-finite value at record {i}")
+            if not row.any():
+                raise FormatError(f"zero vector at record {i}")
+            seen.add(obj["id"])
             ids.append(obj["id"])
-            rows.append(vec)
+            rows.append(row)
     if not rows:
         raise FormatError(f"{path}: no records")
-    return EmbeddingMatrix(ids=ids, vectors=np.asarray(rows, dtype=np.float64))
+    return EmbeddingMatrix(ids=ids, vectors=np.asarray(rows))
 
 
 def _outcome(load, path):
@@ -143,7 +160,7 @@ def _jsonl_files(draw):
     """Lines of a JSONL file as bytes: valid records, then maybe one mutation."""
     n = draw(st.integers(1, 12))
     d = draw(st.integers(1, 5))
-    ints_only = draw(st.booleans())  # all-integer chunks take numpy's int64 path
+    ints_only = draw(st.booleans())  # all-integer rows take numpy's int64 path
     num = st.integers(-(2**70), 2**70) if ints_only else _numbers
     ids = draw(st.lists(st.text(max_size=3), min_size=n, max_size=n, unique=True))
     recs = [{"id": ident, "vector": draw(st.lists(num, min_size=d, max_size=d))} for ident in ids]
@@ -210,6 +227,18 @@ def _jsonl_files(draw):
     return b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
 
 
+# a faulty JSONL line and the error that names it, each with its line number as %(i)d
+_FAULTS = {
+    "invalid-json": ('{"id": "x%(i)d", "vector": [1, 2]', r"record %(i)d: invalid JSON"),
+    "non-object": ("[1, 2]", r"record %(i)d: expected object"),
+    "bad-vector": ('{"id": "x%(i)d", "vector": [1, "2"]}', r"record %(i)d: 'vector' must be"),
+    "ragged": ('{"id": "x%(i)d", "vector": [1, 2, 3]}', r"record %(i)d: dimension 3 != 2"),
+    "duplicate-id": ('{"id": "a", "vector": [1, %(i)d]}', r"duplicate id 'a' at record %(i)d$"),
+    "zero-vector": ('{"id": "x%(i)d", "vector": [0, 0]}', r"zero vector at record %(i)d$"),
+    "float32-overflow": ('{"id": "x%(i)d", "vector": [1e39, 1]}', r"non-finite value at record %(i)d$"),
+}
+
+
 @pytest.fixture(scope="module")
 def jsonl_path():
     with tempfile.TemporaryDirectory() as tmp:
@@ -217,24 +246,23 @@ def jsonl_path():
 
 
 class TestJsonlParity:
-    """The chunked loader against the record-by-record oracle above."""
+    """The loader against the record-by-record oracle above."""
 
     @settings(max_examples=400, deadline=None)
-    @given(data=_jsonl_files(), chunk=st.sampled_from([1, 2, 3, 5, 1024]))
-    def test_matches_reference(self, jsonl_path, data, chunk):
+    @given(data=_jsonl_files())
+    def test_matches_reference(self, jsonl_path, data):
         jsonl_path.write_bytes(data)
-        with mock.patch.object(embeddings, "_JSONL_CHUNK", chunk):
-            _assert_parity(jsonl_path)
+        _assert_parity(jsonl_path)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("bad", [None, "string", "ragged", "invalid-json", "non-object", "null",
                                      "true", "false", "int-id"])
     def test_chunk_boundaries(self, tmp_path, offset, bad):
-        chunk = embeddings._JSONL_CHUNK
+        chunk = 1024  # the loader once converted records in chunks of this many
         n = chunk + offset
         rows = [{"id": f"r{i}", "vector": [i + 1, 0.5, -i / 7, 2.0]} for i in range(n)]
         lines = [json.dumps(r) for r in rows]
-        j = n - 1  # the last record: in the second chunk when n = chunk + 1
+        j = n - 1  # the last record
         if bad == "string":
             lines[j] = json.dumps({"id": "x", "vector": [1, "2", 3, 4]})
         elif bad == "ragged":
@@ -245,9 +273,9 @@ class TestJsonlParity:
             lines[j] = "[1, 2, 3, 4]"
         elif bad == "null":
             lines[j] = json.dumps({"id": "x", "vector": [1, None, 3, 4]})
-        elif bad == "true":  # numpy reads the chunk as int64
+        elif bad == "true":  # numpy reads the row as int64
             lines[j] = json.dumps({"id": "x", "vector": [1, True, 3, 4]})
-        elif bad == "false":  # numpy reads the chunk as float64
+        elif bad == "false":  # numpy reads the row as float64
             lines[j] = json.dumps({"id": "x", "vector": [0.5, False, 3, 4]})
         elif bad == "int-id":
             lines[j] = json.dumps({"id": 7, "vector": [1, 2, 3, 4]})
@@ -262,7 +290,7 @@ class TestJsonlParity:
 
     @pytest.mark.parametrize("later", ["invalid-json", "non-object", "bad-utf8", "int-id"])
     def test_bad_vector_before_a_worse_line_in_the_same_chunk(self, tmp_path, later):
-        chunk = embeddings._JSONL_CHUNK
+        chunk = 1024
         lines = [json.dumps({"id": f"r{i}", "vector": [1.0, i]}).encode() for i in range(2 * chunk)]
         lines[chunk + 3] = json.dumps({"id": "x", "vector": [1.0, "2"]}).encode()
         lines[chunk + 5] = {"invalid-json": b"{\"id\": 1, \"vector\": [1, 2]",
@@ -274,6 +302,17 @@ class TestJsonlParity:
             load_embeddings(str(p))
         if later != "bad-utf8":  # the oracle dies decoding the file
             _assert_parity(p)
+
+    @pytest.mark.parametrize("first,second", [(a, b) for a in _FAULTS for b in _FAULTS if a != b])
+    def test_first_of_two_faults_is_named(self, tmp_path, first, second):
+        # blank lines before both faults: each is named by its line, not its row
+        lines = ['{"id": "a", "vector": [1, 2]}', "", "  ", _FAULTS[first][0] % {"i": 3},
+                 '{"id": "c", "vector": [3, 4]}', "", _FAULTS[second][0] % {"i": 6}]
+        p = tmp_path / "e.jsonl"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=_FAULTS[first][1] % {"i": 3}):
+            load_embeddings(str(p))
+        _assert_parity(p)
 
     def test_behaviour_beyond_the_reference(self, tmp_path):
         p = tmp_path / "e.jsonl"
@@ -291,9 +330,9 @@ class TestJsonlParity:
                 load_embeddings(str(p))
 
     def test_traced_peak_is_a_few_float32_matrices(self, tmp_path):
-        # 3 chunks and one more record; the record-by-record loader peaked at
-        # 12.5x the float32 matrix here, the chunked one at 4.8x
-        n, d = 3 * embeddings._JSONL_CHUNK + 1, 64
+        # a loader that kept the parsed lists peaked at 12.5x the float32
+        # matrix here, one that converted them 1024 records at a time at 4.8x
+        n, d = 3 * 1024 + 1, 64
         p = tmp_path / "e.jsonl"
         save_embeddings(generate_synthetic(n, d, 5, 0.5, seed=1), str(p), "jsonl")
         tracemalloc.start()

@@ -756,6 +756,8 @@ class TestSerialization:
         # so a weight that would mean something to one of them only is refused
         ([[0, 1, 1], [1, 2, 0]], None, "edge 1 [1, 2, 0]: weight other than 1"),
         ([[0, 1, 100]], None, "edge 0 [0, 1, 100]: weight other than 1"),
+        # ids name distinct vertices, so a selection names distinct instances
+        ([[0, 1, 1]], {"ids": ["a", "a", "b"]}, 'bad graph JSON: id 1 "a" repeats id 0'),
     ])
     def test_malformed_graph_names_the_edge(self, edges, vertex_weights, words):
         doc = [1, 2] if edges is None else {"num_vertices": 3, "k": 1, "edges": edges}
