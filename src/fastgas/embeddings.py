@@ -96,7 +96,7 @@ def _first_bad_row(ids: list[str], vecs: np.ndarray) -> tuple[int, str] | None:
 def _load_jsonl(path: str) -> EmbeddingMatrix:
     """Parse each line into a float32 row before reading the next, checking a
     vector value by value unless numpy reads it as a numeric row as wide as
-    the first and its line holds no `u` or `f` (numpy reads true as 1)."""
+    the first and its line holds no `true` or `false` (numpy reads true as 1)."""
     first: dict[str, int] = {}  # each id and its line
     rows: list[np.ndarray] = []
     # surrogateescape keeps a bad byte on its line; a float32 overflow becomes inf
@@ -123,7 +123,8 @@ def _load_jsonl(path: str) -> EmbeddingMatrix:
                 except ValueError:  # ragged or nested
                     row = None
                 shape = rows[0].shape if rows else None
-                if row is None or row.shape != shape or row.dtype.kind not in "iuf" or "u" in line or "f" in line:
+                if (row is None or row.shape != shape or row.dtype.kind not in "iuf"
+                        or ("u" in line or "f" in line) and ("true" in line or "false" in line)):
                     if not isinstance(vec, list) or not vec or not all(type(x) in (int, float) for x in vec):
                         raise FormatError(f"record {i}: 'vector' must be a non-empty array of numbers")
                     if shape and len(vec) != shape[0]:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .embeddings import EmbeddingMatrix
 from .errors import InvalidParameter
-from .graph import SimilarityGraph, _unique_sorted, graph_from_edges
+from .graph import SimilarityGraph, _unique_sorted, graph_from_entries
 
 # Rows per block of the kNN screen; the k-means that orders the rows has
 # about n / _BLOCK_ROWS centres.
@@ -82,9 +82,8 @@ def build_knn_graph(emb: EmbeddingMatrix, k: int, threads: int = 1) -> Similarit
 
     src = np.concatenate([v[above], bv[~rerank], rv[take]]).astype(np.int64)
     dst = np.concatenate([c[above], bc[~rerank], rc[take]]).astype(np.int64)
-    key = _unique_sorted(np.minimum(src, dst) * n + np.maximum(src, dst))
-    edges = np.column_stack([key // n, key % n, np.ones(len(key), dtype=np.int64)])
-    return graph_from_edges(n, edges)
+    key = _unique_sorted(np.concatenate([src * n + dst, dst * n + src]))
+    return graph_from_entries(n, key // n, key % n, np.ones(len(key), dtype=np.int64), np.ones(n, dtype=np.int64))
 
 
 def _block_order(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

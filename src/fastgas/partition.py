@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InternalError, InvalidParameter
-from .graph import SimilarityGraph, edge_cut, graph_from_edges, induced_subgraph
+from .graph import SimilarityGraph, edge_cut, graph_from_entries, induced_subgraph
 
 # METIS's default imbalance tolerance
 BALANCE_EPSILON = 0.03
@@ -89,12 +89,10 @@ def random_matching_coarsen(g: SimilarityGraph, rng: np.random.Generator) -> Coa
     cw = np.bincount(coarse_id, weights=g.vertex_weights).astype(np.int64)
     cu = coarse_id[g.sources()]
     cv = coarse_id[nbrs]
-    keep = cu < cv  # drops self-loops and keeps one direction
+    keep = cu != cv  # drops self-loops
     uniq, inv = np.unique(cu[keep] * cid + cv[keep], return_inverse=True)
     wsum = np.bincount(inv, weights=g.edge_weights[keep]).astype(np.int64)
-    edges = np.column_stack([uniq // cid, uniq % cid, wsum])
-    coarse = graph_from_edges(cid, edges, vertex_weights=cw)
-    return CoarseningLevel(graph=coarse, match_map=coarse_id)
+    return CoarseningLevel(graph=graph_from_entries(cid, uniq // cid, uniq % cid, wsum, cw), match_map=coarse_id)
 
 
 def bfs_initial_bisect(

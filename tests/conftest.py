@@ -28,6 +28,13 @@ def two_triangles_bridge():
     return graph_from_edges(6, edges)
 
 
+def assert_same_csr(g, ref):
+    """g holds the same int64 CSR arrays as ref."""
+    for name in ("indptr", "neighbors", "edge_weights", "vertex_weights"):
+        got, want = getattr(g, name), getattr(ref, name)
+        assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist(), name
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -73,6 +73,23 @@ class TestLoadJsonl:
         with pytest.raises(FormatError, match="duplicate id 'a' at record 1$"):
             EmbeddingMatrix(ids=["a", "a", "c", "d"], vectors=rows)
 
+    def test_value_check_is_gated_on_a_boolean(self, tmp_path):
+        # ids and an extra key holding u, f and true read as under plain ids
+        rows = generate_synthetic(50, 8, 3, 0.5, seed=2).vectors.tolist()
+        rows[0] = [1, -2, 3, 4, 5, 6, 7, 8]
+        plain, lettered = tmp_path / "plain.jsonl", tmp_path / "lettered.jsonl"
+        write_jsonl(plain, [{"id": f"p{i}", "vector": v} for i, v in enumerate(rows)])
+        write_jsonl(lettered, [{"id": f"uf-true-{i}", "source": "features", "vector": v}
+                               for i, v in enumerate(rows)])
+        assert load_embeddings(str(lettered)).vectors.tobytes() == load_embeddings(str(plain)).vectors.tobytes()
+        # a boolean or a null is still named on its line
+        for vec in ([1, True], [False, 2.5], [1, None]):
+            p = tmp_path / "bad.jsonl"
+            p.write_text('{"id": "a", "vector": [1, 2]}\n\n' + json.dumps({"id": "b", "vector": vec}) + "\n",
+                         encoding="utf-8")
+            with pytest.raises(FormatError, match=r"^record 2: 'vector' must be a non-empty array of numbers$"):
+                load_embeddings(str(p))
+
     def test_zero_vector_rejected(self, tmp_path):
         p = tmp_path / "e.jsonl"
         write_jsonl(p, [{"id": "a", "vector": [0.0, 0.0]}])

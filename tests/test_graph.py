@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, path_graph, random_graph, star_graph
+from conftest import assert_same_csr, cycle_graph, path_graph, random_graph, star_graph
 from fastgas import knn
 from fastgas.embeddings import EmbeddingMatrix, cosine_similarity, generate_synthetic
 from fastgas.errors import FormatError, InvalidParameter
@@ -550,6 +550,14 @@ class TestBuildKnn:
             assert v not in nbrs
             assert len(np.unique(nbrs)) == len(nbrs)
 
+    @pytest.mark.parametrize("n, k", [(2, 1), (12, 1), (30, 3), (60, 7), (40, 20), (9, 8), (25, 24)])
+    def test_csr_matches_graph_from_edges(self, n, k):
+        # the kNN graph skips graph_from_edges' sort; it must still give its arrays
+        g = build_knn_graph(generate_synthetic(n, 6, min(n, 3), 0.4, seed=n * k), k)
+        edges = g.edge_list()
+        assert (np.diff(edges[:, 0] * n + edges[:, 1]) > 0).all()  # each edge once
+        assert_same_csr(g, graph_from_edges(n, edges))
+
     def test_deterministic_and_thread_count_independent(self):
         emb = generate_synthetic(300, 12, 5, 0.3, seed=8)
         blobs = {
@@ -659,6 +667,8 @@ class TestInducedSubgraph:
             expected = [[new[u], new[v], w] for u, v, w in g.edge_list().tolist() if u in new and v in new]
             assert sub.edge_list().tolist() == expected
             assert sub.vertex_weights.tolist() == g.vertex_weights[members].tolist()
+            # both directions of each kept edge, in the order graph_from_edges gives
+            assert_same_csr(sub, graph_from_edges(len(members), expected, g.vertex_weights[members]))
 
     def test_empty_set(self):
         with pytest.raises(InvalidParameter, match="induced_subgraph needs a nonempty vertex set"):

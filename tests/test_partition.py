@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graph, two_triangles_bridge
+from conftest import assert_same_csr, complete_graph, cycle_graph, path_graph, random_graph, two_triangles_bridge
 from fastgas import partition
 from fastgas.embeddings import generate_synthetic
 from fastgas.errors import InternalError, InvalidParameter
@@ -136,6 +136,17 @@ class TestRandomMatchingCoarsen:
                     agg[(min(cu, cv), max(cu, cv))] = agg.get((min(cu, cv), max(cu, cv)), 0) + w
             got = {(u, v): w for u, v, w in lvl.graph.edge_list().tolist()}
             assert got == agg
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_csr_matches_graph_from_edges(self, seed):
+        # the coarse graph skips graph_from_edges' sort; it must still give its arrays
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15]
+        g = graph_from_edges(n, [(u, v, int(rng.integers(1, 4))) for u, v in pairs],
+                             vertex_weights=rng.integers(1, 5, size=n))
+        coarse = random_matching_coarsen(g, rng).graph
+        assert_same_csr(coarse, graph_from_edges(coarse.num_vertices, coarse.edge_list(), coarse.vertex_weights))
 
     def test_too_small(self, rng):
         with pytest.raises(InvalidParameter, match="cannot coarsen a graph with 1 vertices"):
